@@ -37,7 +37,8 @@ print(f"\nlabel pool: {len(small.pool)} for a 10-sample client, "
 
 # train the generator against a classifier fitted on a 4-class feature task
 cfg = ExperimentConfig(n_classes=4, samples_per_class=150, d_in=8, spread=1.0,
-                       feature_dim=8, seeds=(0,))
+                       feature_dim=8, noise_dim=16, gen_hidden=32, gen_epochs=6,
+                       gen_batches=40, gen_batch_size=32, seeds=(0,))
 ds = data.make_blobs(cfg.n_classes, cfg.samples_per_class, cfg.d_in,
                      cfg.spread, seed=2)
 reference = harness.train_centralized_reference(ds, cfg, seed=3, epochs=60)
@@ -45,14 +46,11 @@ feats = nn.extract_features(reference, ds.features)
 print(f"\nreference task model trained centrally; feature space is "
       f"{feats.shape[1]}-dimensional and nonnegative (min {feats.min():.1f})")
 
-gen_cfg = generator.GenTrainConfig(gen_epochs=6, gen_batches=40, batch_size=32,
-                                   noise_dim=16, hidden_width=32)
-gen = generator.init_generator(gen_cfg.noise_dim, cfg.n_classes,
-                               cfg.feature_dim, gen_cfg.hidden_width,
-                               np.random.default_rng(4))
+gen = generator.init_generator(cfg.noise_dim, cfg.n_classes, cfg.feature_dim,
+                               cfg.gen_hidden, np.random.default_rng(4))
 before = harness.feature_similarity(gen, reference, ds, seed=5)
-gen, trace = generator.train_generator(gen, [reference], [1.0], gen_cfg,
-                                       cfg.n_classes, seed=6)
+gen, trace = generator.train_generator(gen, [reference], [1.0],
+                                       cfg.gen_config(), cfg.n_classes, seed=6)
 after = harness.feature_similarity(gen, reference, ds, seed=5)
 
 print(f"generator ensemble CE: {trace['ce'][:40].mean():.3f} (first epoch) -> "

@@ -12,9 +12,7 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
-from . import generator, gradcheck, harness, nn, orchestrator, trainer
+from . import gradcheck, harness, nn, orchestrator, trainer
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigError
 
@@ -123,62 +121,6 @@ def _cmd_similarity(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst = {"dense+relu": 0.0, "softmax-ce": 0.0, "kd": 0.0, "diversity": 0.0}
-    for _ in range(args.instances):
-        widths = [int(rng.integers(2, 6)) for _ in range(3)]
-        model = nn.he_uniform_init(widths, 1, rng)
-        x = rng.normal(size=(4, widths[0]))
-        y = rng.integers(0, widths[-1], size=4)
-
-        def loss_fn(p):
-            return nn.softmax_ce_loss(nn.forward(p, x), y)[0]
-
-        _, grad_logits = nn.softmax_ce_loss(nn.forward(model, x), y)
-        analytic = nn.backward(model, x, grad_logits)
-        numeric = gradcheck.fd_model_grads(loss_fn, model)
-        for (agw, agb), (ngw, ngb) in zip(analytic.layers, numeric):
-            worst["dense+relu"] = max(
-                worst["dense+relu"],
-                gradcheck.max_relative_error(agw, ngw),
-                gradcheck.max_relative_error(agb, ngb),
-            )
-
-        tau = float(rng.uniform(0.5, 5.0))
-        logits = rng.normal(size=(5, 4))
-        labels = rng.integers(0, 4, size=5)
-        _, g = nn.softmax_ce_loss(logits, labels, tau)
-        num = gradcheck.fd_array_grad(
-            lambda z: nn.softmax_ce_loss(z, labels, tau)[0], logits
-        )
-        worst["softmax-ce"] = max(worst["softmax-ce"], gradcheck.max_relative_error(g, num))
-
-        t_logits = rng.normal(size=(5, 4))
-        _, g = trainer.kd_loss(logits, t_logits, tau, 0.5)
-        num = gradcheck.fd_array_grad(
-            lambda z: trainer.kd_loss(z, t_logits, tau, 0.5)[0], logits
-        )
-        worst["kd"] = max(worst["kd"], gradcheck.max_relative_error(g, num))
-
-        noise = rng.normal(size=(6, 3))
-        feats = rng.normal(size=(6, 4))
-        _, g = generator.diversity_loss(noise, feats, eps=1e-3)
-        num = gradcheck.fd_array_grad(
-            lambda z: generator.diversity_loss(noise, z, eps=1e-3)[0], feats
-        )
-        worst["diversity"] = max(worst["diversity"], gradcheck.max_relative_error(g, num))
-
-    failed = False
-    for name, err in worst.items():
-        limit = 1e-4 if name == "dense+relu" else 1e-5
-        ok = err < limit
-        failed |= not ok
-        print(f"{name}: max relative error {err:.3e} (limit {limit:.0e}) "
-              f"{'PASS' if ok else 'FAIL'}")
-    return 1 if failed else 0
-
-
 def _cmd_fedavg_ref(args) -> int:
     cfg = _collect_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -246,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     grad_p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     grad_p.add_argument("--instances", type=int, default=50)
     grad_p.add_argument("--seed", type=int, default=0)
-    grad_p.set_defaults(func=_cmd_gradcheck)
+    grad_p.set_defaults(func=lambda args: gradcheck.report(args.instances, args.seed))
 
     ref_p = sub.add_parser("fedavg-ref", help="plain FedAvg reference run")
     ref_p.add_argument("--config", default=None)

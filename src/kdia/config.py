@@ -108,8 +108,6 @@ class ExperimentConfig:
             gen_epochs=self.gen_epochs,
             gen_batches=self.gen_batches,
             batch_size=self.gen_batch_size,
-            noise_dim=self.noise_dim,
-            hidden_width=self.gen_hidden,
             diversity_weight=self.diversity_weight,
             diversity_epsilon=self.diversity_epsilon,
             learning_rate=self.gen_learning_rate,

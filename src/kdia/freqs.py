@@ -77,29 +77,18 @@ class ClientLedger:
     def volume_freqs(self) -> np.ndarray:
         return self.sample_counts / self.sample_counts.sum()
 
-    def snapshot(self) -> str:
-        """Structured-text dump for the per-round metrics stream."""
-        lines = ["client,last_round,participation,samples"]
-        for k in range(self.n_clients):
-            lines.append(
-                f"{k},{self.last_round[k]},{self.part_counts[k]},{self.sample_counts[k]}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class FreqWeights:
-    """All weight vectors of one round: the three frequencies, their combined
-    pre-normalization vector, the normalized teacher weights over all N, and
-    the student weights over the selected set (ascending client id)."""
+    """All weight vectors of one round: the three frequencies, the normalized
+    teacher weights over all N, and the student weights over the selected set
+    (ascending client id)."""
 
     interval: np.ndarray
     participation: np.ndarray
     volume: np.ndarray
-    tri: np.ndarray
     teacher: np.ndarray
     student: np.ndarray
-    mode: str
 
 
 def combine_freqs(
@@ -161,6 +150,6 @@ def round_weights(
     f_intv = ledger.interval_freqs(t)
     f_part = ledger.participation_freqs()
     f_num = ledger.volume_freqs()
-    tri, teacher = combine_freqs(f_intv, f_part, f_num, mode, part_floor)
+    _, teacher = combine_freqs(f_intv, f_part, f_num, mode, part_floor)
     p = student_weights(selected, ledger.sample_counts)
-    return FreqWeights(f_intv, f_part, f_num, tri, teacher, p, mode)
+    return FreqWeights(f_intv, f_part, f_num, teacher, p)

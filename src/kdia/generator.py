@@ -30,8 +30,6 @@ class GenTrainConfig:
     gen_epochs: int = 10
     gen_batches: int = 200
     batch_size: int = 64
-    noise_dim: int = 100
-    hidden_width: int = 128
     diversity_weight: float = 1.0
     diversity_epsilon: float = 1e-5
     learning_rate: float = 0.001
@@ -39,7 +37,7 @@ class GenTrainConfig:
     eq3_literal: bool = False
 
     def __post_init__(self):
-        for name in ("gen_epochs", "gen_batches", "batch_size", "noise_dim"):
+        for name in ("gen_epochs", "gen_batches", "batch_size"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
         if self.diversity_epsilon <= 0:
@@ -122,27 +120,31 @@ def diversity_loss(
     return loss, grad
 
 
-def ensemble_logits(
-    gen_features: np.ndarray,
-    classifier_snapshots,
-    p: np.ndarray,
-    eq3_literal: bool = False,
-) -> np.ndarray:
-    """Weighted sum of each frozen classifier's logits on generated features.
+def ensemble_ce(
+    feats: np.ndarray, classifiers, p, labels: np.ndarray, k_scale: float = 1.0
+) -> tuple[float, np.ndarray]:
+    """Cross-entropy of the weighted classifier ensemble on generated features
+    and its exact gradient with respect to ``feats``.
 
-    With ``eq3_literal`` the extra 1/K factor is kept, which only rescales the
+    ``classifiers`` are frozen classifier layer stacks
+    (``snap.layers[snap.split_index:]``), one per weight in ``p``. The
+    ensemble logits are ``k_scale * sum_k p_k * logits_k``; ``k_scale`` is
+    1/K for the literal Eq. 3 form and 1 otherwise, and only rescales the
     pre-softmax logits.
     """
-    p = np.asarray(p, dtype=np.float64)
-    out = None
-    for snap, weight in zip(classifier_snapshots, p):
-        logits = nn.forward(snap, gen_features, from_classifier_only=True)
-        out = weight * logits if out is None else out + weight * logits
-    if out is None:
-        raise ParameterError("no classifier snapshots")
-    if eq3_literal:
-        out = out / len(classifier_snapshots)
-    return out
+    if not classifiers or len(classifiers) != len(p):
+        raise ParameterError(
+            f"{len(classifiers)} classifiers for {len(p)} ensemble weights"
+        )
+    traces = [nn.forward_layers(layers, feats) for layers in classifiers]
+    logits = k_scale * sum(weight * out for (out, _), weight in zip(traces, p))
+    ce, grad_logits = nn.softmax_ce_loss(logits, labels)
+    grad_feats = sum(
+        (weight * k_scale)
+        * nn.backward_layers(layers, inputs, grad_logits).input_grad
+        for layers, (_, inputs), weight in zip(classifiers, traces, p)
+    )
+    return ce, grad_feats
 
 
 def train_generator(
@@ -181,23 +183,12 @@ def train_generator(
             labels = pool[idx]
             noise = epoch_noise[lo : lo + cfg.batch_size]
             stacked = np.hstack([noise, _one_hot(labels, n_classes)])
-            pre, gen_inputs = nn._forward_trace(gen, stacked, False)
+            pre, gen_inputs = nn.forward_layers(gen.layers, stacked)
             feats = np.maximum(pre, 0.0)
-            per_clf = [
-                nn._forward_trace_layers(layers, feats) for layers in classifiers
-            ]
-            logits = k_scale * sum(
-                weight * out for (out, _), weight in zip(per_clf, p)
-            )
-            ce, grad_logits = nn.softmax_ce_loss(logits, labels)
-            grad_feats = sum(
-                (weight * k_scale)
-                * nn._backward_from_trace(layers, inputs, grad_logits).input_grad
-                for layers, (_, inputs), weight in zip(classifiers, per_clf, p)
-            )
+            ce, grad_feats = ensemble_ce(feats, classifiers, p, labels, k_scale)
             div, grad_div = diversity_loss(noise, feats, cfg.diversity_epsilon)
             grad_feats = grad_feats + cfg.diversity_weight * grad_div
-            grads = nn._backward_from_trace(
+            grads = nn.backward_layers(
                 gen.layers, gen_inputs, grad_feats * (pre > 0.0)
             )
             gen, state = nn.optimizer_step(gen, grads, state)
@@ -245,18 +236,3 @@ class LocalSynthesizer:
         noise = self.rng.normal(size=(take, self.noise_dim))
         return gen_forward(self.gen, noise, labels, self.n_classes), labels
 
-
-def synthesize_local(
-    gen: nn.ModelParams,
-    sample_count: int,
-    local_epochs: int,
-    batch_size: int,
-    n_classes: int,
-    seed,
-):
-    """One synthetic (features, labels) batch per local epoch."""
-    synth = LocalSynthesizer(
-        gen, n_classes, sample_count, local_epochs, batch_size, seed
-    )
-    for _ in range(local_epochs):
-        yield synth.draw()

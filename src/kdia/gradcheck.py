@@ -1,17 +1,20 @@
 """Central finite-difference gradient verification.
 
-These are the independent oracles for every analytic gradient in the package:
-they only ever evaluate loss values, never the code paths that produce
-analytic gradients.
+The ``fd_*`` functions are the independent oracles for every analytic
+gradient in the package: they only ever evaluate loss values, never the code
+paths that produce analytic gradients. ``run_suite`` is the randomized suite
+that acceptance criterion 2 and ``kdia gradcheck`` both run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nn import ModelParams
+from . import generator, nn, trainer
 
 DEFAULT_STEP = 1e-5
+# pass limits of ``report``, the same as acceptance criterion 2's
+LIMITS = {"dense": 1e-4, "relu": 1e-4, "softmax-ce": 1e-5, "kd": 1e-5, "div": 1e-5}
 
 
 def fd_array_grad(loss_fn, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
@@ -31,7 +34,7 @@ def fd_array_grad(loss_fn, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray
     return grad
 
 
-def fd_model_grads(loss_fn, params: ModelParams, h: float = DEFAULT_STEP):
+def fd_model_grads(loss_fn, params: nn.ModelParams, h: float = DEFAULT_STEP):
     """Central differences over every weight and bias of a model.
 
     ``loss_fn`` maps a ModelParams to a float. Returns ``(gw, gb)`` pairs in
@@ -65,16 +68,65 @@ def max_relative_error(analytic, numeric, floor: float = 1e-3) -> float:
     return float((np.abs(a - n) / denom).max())
 
 
-def model_grad_error(loss_and_grad_fn, params: ModelParams, h: float = DEFAULT_STEP):
-    """Compare an analytic gradient routine against central differences.
+def _dense_ce_error(model: nn.ModelParams, x: np.ndarray, y: np.ndarray) -> float:
+    """Worst relative error of ``nn.backward`` through softmax cross-entropy,
+    over every weight and bias of ``model``."""
+    _, grad_logits = nn.softmax_ce_loss(nn.forward(model, x), y)
+    analytic = nn.backward(model, x, grad_logits)
+    numeric = fd_model_grads(
+        lambda p: nn.softmax_ce_loss(nn.forward(p, x), y)[0], model
+    )
+    return max(
+        max(max_relative_error(agw, ngw), max_relative_error(agb, ngb))
+        for (agw, agb), (ngw, ngb) in zip(analytic.layers, numeric)
+    )
 
-    ``loss_and_grad_fn`` maps a ModelParams to ``(loss, [(gw, gb), ...])``.
-    Returns the max relative error over all layers.
-    """
-    _, analytic = loss_and_grad_fn(params)
-    numeric = fd_model_grads(lambda p: loss_and_grad_fn(p)[0], params, h)
-    worst = 0.0
-    for (agw, agb), (ngw, ngb) in zip(analytic, numeric):
-        worst = max(worst, max_relative_error(agw, ngw))
-        worst = max(worst, max_relative_error(agb, ngb))
+
+def run_suite(instances: int, seed: int) -> dict:
+    """Worst relative error per gradient category over ``instances`` random
+    draws from one ``seed``: ``dense`` (one dense layer), ``relu`` (a dense
+    stack with a ReLU hidden layer), ``softmax-ce`` (tempered), ``kd``
+    (distillation) and ``div`` (the generator's diversity term)."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(LIMITS, 0.0)
+    for _ in range(instances):
+        for name, widths, rows in (("dense", [4, 3], 5), ("relu", [3, 5, 3], 4)):
+            model = nn.he_uniform_init(widths, 1, rng)
+            x = rng.normal(size=(rows, widths[0]))
+            y = rng.integers(0, widths[-1], size=rows)
+            worst[name] = max(worst[name], _dense_ce_error(model, x, y))
+
+        tau = float(rng.uniform(0.5, 5.0))
+        logits = rng.normal(size=(6, 4))
+        labels = rng.integers(0, 4, size=6)
+        _, g = nn.softmax_ce_loss(logits, labels, tau)
+        numeric = fd_array_grad(lambda z: nn.softmax_ce_loss(z, labels, tau)[0], logits)
+        worst["softmax-ce"] = max(worst["softmax-ce"], max_relative_error(g, numeric))
+
+        t_logits = rng.normal(size=(6, 4))
+        _, g = trainer.kd_loss(logits, t_logits, tau, 0.5)
+        numeric = fd_array_grad(
+            lambda z: trainer.kd_loss(z, t_logits, tau, 0.5)[0], logits
+        )
+        worst["kd"] = max(worst["kd"], max_relative_error(g, numeric))
+
+        noise = rng.normal(size=(6, 3))
+        feats = rng.normal(size=(6, 4))
+        _, g = generator.diversity_loss(noise, feats, eps=1e-3)
+        numeric = fd_array_grad(
+            lambda z: generator.diversity_loss(noise, z, eps=1e-3)[0], feats
+        )
+        worst["div"] = max(worst["div"], max_relative_error(g, numeric))
     return worst
+
+
+def report(instances: int, seed: int) -> int:
+    """Run the suite, print one PASS/FAIL line per category against
+    ``LIMITS``, and return the exit status (1 if any category fails)."""
+    failed = False
+    for name, err in run_suite(instances, seed).items():
+        ok = err < LIMITS[name]
+        failed |= not ok
+        print(f"{name}: max relative error {err:.3e} (limit {LIMITS[name]:.0e}) "
+              f"{'PASS' if ok else 'FAIL'}")
+    return 1 if failed else 0

@@ -1,6 +1,5 @@
-"""Experiment harness: metrics persistence, sweeps, and the analysis
-computations for weight-variance tracking and generated-vs-real feature
-similarity.
+"""Experiment harness: metrics persistence, sweeps, and the generated-vs-real
+feature-similarity analysis.
 
 CSV is the output contract; plotting is out of scope.
 """
@@ -124,15 +123,6 @@ def sweep(base_cfg: ExperimentConfig, axis: str, values, out_dir) -> dict:
             write_metrics(result.metrics, path)
             written[value][seed] = path
     return written
-
-
-def variance_track(weights_history) -> dict:
-    """Population variance per round of the three frequency vectors."""
-    return {
-        "var_f_intv": np.array([w.interval.var() for w in weights_history]),
-        "var_f_part": np.array([w.participation.var() for w in weights_history]),
-        "var_f_num": np.array([w.volume.var() for w in weights_history]),
-    }
 
 
 def train_centralized_reference(

@@ -36,13 +36,15 @@ class ModelParams:
     split_index: int
 
     def __post_init__(self):
+        if not self.layers:
+            raise ShapeError("a model needs at least one layer")
         if not 0 <= self.split_index <= len(self.layers):
             raise ShapeError(
                 f"split_index {self.split_index} out of range for "
                 f"{len(self.layers)} layers"
             )
         for i, (w, b) in enumerate(self.layers):
-            if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
+            if w.ndim != 2 or w.size == 0 or b.ndim != 1 or b.shape[0] != w.shape[1]:
                 raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape}")
             if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
                 raise ShapeError(
@@ -58,19 +60,10 @@ class ModelParams:
     def output_width(self) -> int:
         return self.layers[-1][0].shape[1]
 
-    @property
-    def classifier_input_width(self) -> int:
-        if self.split_index == len(self.layers):
-            return self.output_width
-        return self.layers[self.split_index][0].shape[0]
-
     def copy(self) -> "ModelParams":
         return ModelParams(
             [(w.copy(), b.copy()) for w, b in self.layers], self.split_index
         )
-
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
 
 
 @dataclass
@@ -110,27 +103,28 @@ def he_uniform_init(
     return ModelParams(layers, split_index)
 
 
-def _active_layers(params: ModelParams, from_classifier_only: bool):
-    start = params.split_index if from_classifier_only else 0
-    return start, params.layers[start:]
+def forward_layers(layers, batch, first_index: int = 0):
+    """Forward over a dense layer stack, keeping what backward needs.
 
-
-def _forward_trace_layers(active, batch, label_offset: int = 0):
-    """Forward over a layer list, keeping the input seen by each layer."""
-    if not active:
+    Returns ``(out, inputs)``: ``out`` is the last layer's pre-activation
+    output and ``inputs[i]`` the batch layer ``i`` saw (post-ReLU for
+    ``i > 0``). ``first_index`` is the model index of ``layers[0]``, used to
+    name the layer in shape errors.
+    """
+    if not layers:
         raise ShapeError("model has no layers on the requested path")
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got shape {x.shape}")
     inputs = [x]
-    for i, (w, b) in enumerate(active):
+    for i, (w, b) in enumerate(layers):
         if x.shape[1] != w.shape[0]:
             raise ShapeError(
-                f"layer {label_offset + i}: batch width {x.shape[1]} != "
+                f"layer {first_index + i}: batch width {x.shape[1]} != "
                 f"layer input width {w.shape[0]}"
             )
         z = x @ w + b
-        if i < len(active) - 1:
+        if i < len(layers) - 1:
             x = np.maximum(z, 0.0)
             inputs.append(x)
         else:
@@ -140,42 +134,15 @@ def _forward_trace_layers(active, batch, label_offset: int = 0):
     return x, inputs
 
 
-def _forward_trace(params, batch, from_classifier_only):
-    start, active = _active_layers(params, from_classifier_only)
-    return _forward_trace_layers(active, batch, label_offset=start)
-
-
-def forward(
-    params: ModelParams, batch: np.ndarray, from_classifier_only: bool = False
-) -> np.ndarray:
-    """Logits for a batch; with ``from_classifier_only`` the batch is a
-    feature matrix fed straight into the classifier part."""
-    logits, _ = _forward_trace(params, batch, from_classifier_only)
-    return logits
-
-
-def extract_features(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Post-activation extractor output, i.e. what the classifier part sees."""
-    if params.split_index == 0:
-        return np.asarray(batch, dtype=np.float64)
-    x = np.asarray(batch, dtype=np.float64)
-    for i in range(params.split_index):
-        w, b = params.layers[i]
-        if x.shape[1] != w.shape[0]:
-            raise ShapeError(
-                f"layer {i}: batch width {x.shape[1]} != layer input width {w.shape[0]}"
-            )
-        x = np.maximum(x @ w + b, 0.0)
-    return x
-
-
-def _backward_from_trace(active, inputs, grad_logits) -> Gradients:
-    """Backward over already-traced layer inputs. NaN/Inf anywhere in the
-    chain propagates into the final input gradient, which is checked once."""
-    grads: list = [None] * len(active)
-    delta = grad_logits
-    for i in reversed(range(len(active))):
-        w, _ = active[i]
+def backward_layers(layers, inputs, grad_out: np.ndarray) -> Gradients:
+    """Exact gradients of ``sum(grad_out * out)`` over a layer stack, given
+    the ``inputs`` that ``forward_layers`` returned for it. NaN/Inf anywhere
+    in the chain propagates into the final input gradient, which is checked
+    once."""
+    grads: list = [None] * len(layers)
+    delta = grad_out
+    for i in reversed(range(len(layers))):
+        w, _ = layers[i]
         x = inputs[i]
         grads[i] = (x.T @ delta, delta.sum(axis=0))
         delta = delta @ w.T
@@ -187,6 +154,24 @@ def _backward_from_trace(active, inputs, grad_logits) -> Gradients:
     return Gradients(grads, delta)
 
 
+def forward(
+    params: ModelParams, batch: np.ndarray, from_classifier_only: bool = False
+) -> np.ndarray:
+    """Logits for a batch; with ``from_classifier_only`` the batch is a
+    feature matrix fed straight into the classifier part."""
+    start = params.split_index if from_classifier_only else 0
+    logits, _ = forward_layers(params.layers[start:], batch, start)
+    return logits
+
+
+def extract_features(params: ModelParams, batch: np.ndarray) -> np.ndarray:
+    """Post-activation extractor output, i.e. what the classifier part sees."""
+    if params.split_index == 0:
+        return np.asarray(batch, dtype=np.float64)
+    out, _ = forward_layers(params.layers[: params.split_index], batch)
+    return np.maximum(out, 0.0)
+
+
 def backward(
     params: ModelParams,
     batch: np.ndarray,
@@ -194,14 +179,15 @@ def backward(
     from_classifier_only: bool = False,
 ) -> Gradients:
     """Exact gradients of ``sum(grad_logits * logits)`` for every active layer."""
-    _, active = _active_layers(params, from_classifier_only)
-    logits, inputs = _forward_trace(params, batch, from_classifier_only)
+    start = params.split_index if from_classifier_only else 0
+    layers = params.layers[start:]
+    logits, inputs = forward_layers(layers, batch, start)
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != logits.shape:
         raise ShapeError(
             f"grad_logits shape {grad_logits.shape} != logits shape {logits.shape}"
         )
-    return _backward_from_trace(active, inputs, grad_logits)
+    return backward_layers(layers, inputs, grad_logits)
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -381,14 +367,19 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a ``save_checkpoint`` file. A blob that is not exactly one raises
+    ``ProtocolError`` naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise ProtocolError(f"{path}: bad checkpoint magic")
     pos = len(CHECKPOINT_MAGIC)
     layers = []
-    # every layer block is >= 32 bytes, so >8 remaining bytes means another layer
+    # every layer block starts with a 16-byte shape header, so more than the
+    # trailing 8-byte split index left means another layer
     while len(blob) - pos > 8:
+        if len(blob) - pos < 16 + 8:
+            raise ProtocolError(f"{path}: truncated checkpoint")
         rows, cols = struct.unpack_from("<QQ", blob, pos)
         pos += 16
         need = 8 * (rows * cols + cols)
@@ -399,5 +390,10 @@ def load_checkpoint(path) -> ModelParams:
         b = np.frombuffer(blob, dtype="<f8", count=cols, offset=pos)
         pos += 8 * cols
         layers.append((w.reshape(rows, cols).copy(), b.copy()))
+    if len(blob) - pos != 8:
+        raise ProtocolError(f"{path}: truncated checkpoint")
     (split_index,) = struct.unpack_from("<Q", blob, pos)
-    return ModelParams(layers, split_index)
+    try:
+        return ModelParams(layers, split_index)
+    except ShapeError as exc:
+        raise ProtocolError(f"{path}: {exc}") from exc

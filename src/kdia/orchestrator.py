@@ -78,8 +78,9 @@ class FedState:
     weights_history: list = field(default_factory=list)
 
 
-def build_state(cfg: ExperimentConfig, master_seed: int) -> FedState:
-    """Materialize data, partition, and initial models for one master seed."""
+def _setup(cfg: ExperimentConfig, master_seed: int):
+    """Train/test data, client partition and initial classifier of one master
+    seed: the setup the protocol and the plain-FedAvg reference share."""
     ds = data.make_blobs(
         cfg.n_classes,
         cfg.samples_per_class,
@@ -94,11 +95,17 @@ def build_state(cfg: ExperimentConfig, master_seed: int) -> FedState:
     partition = data.dirichlet_partition(
         train_ds, cfg.n_clients, cfg.beta, seed=seed_for(master_seed, _TAG_PART)
     )
-    student = nn.he_uniform_init(
+    model = nn.he_uniform_init(
         [cfg.d_in, cfg.feature_dim, cfg.n_classes],
         1,
         rng_for(master_seed, _TAG_INIT),
     )
+    return train_ds, test_ds, partition, model
+
+
+def build_state(cfg: ExperimentConfig, master_seed: int) -> FedState:
+    """Materialize data, partition, and initial models for one master seed."""
+    train_ds, test_ds, partition, student = _setup(cfg, master_seed)
     teacher = student.copy() if cfg.teacher_enabled else None
     registry = (
         aggregate.ModelRegistry(student, cfg.n_clients)
@@ -269,31 +276,13 @@ def fedavg_reference(
 ) -> FedAvgRun:
     """Plain federated averaging, written as its own straight-line loop.
 
-    Shares only the primitives (data, seed streams, forward/backward/step)
-    with the main loop; the round logic is reimplemented so the two paths can
-    be compared bit-for-bit when the main loop runs with distillation and
-    generation disabled.
+    Shares the setup (data, partition, initial model) and the primitives
+    (seed streams, forward/backward/step) with the main loop; the round logic
+    is reimplemented so the two paths can be compared bit-for-bit when the
+    main loop runs with distillation and generation disabled.
     """
     rounds = cfg.rounds if rounds is None else rounds
-    ds = data.make_blobs(
-        cfg.n_classes,
-        cfg.samples_per_class,
-        cfg.d_in,
-        cfg.spread,
-        seed=seed_for(master_seed, _TAG_DATA),
-        separation=cfg.separation,
-    )
-    train_ds, test_ds = data.train_test_split(
-        ds, cfg.test_fraction, seed=seed_for(master_seed, _TAG_SPLIT)
-    )
-    part = data.dirichlet_partition(
-        train_ds, cfg.n_clients, cfg.beta, seed=seed_for(master_seed, _TAG_PART)
-    )
-    model = nn.he_uniform_init(
-        [cfg.d_in, cfg.feature_dim, cfg.n_classes],
-        1,
-        rng_for(master_seed, _TAG_INIT),
-    )
+    train_ds, test_ds, part, model = _setup(cfg, master_seed)
     sizes = part.sizes().astype(np.float64)
     per_round_models, accs, selected_sets = [], [], []
     for t in range(rounds):

@@ -50,15 +50,6 @@ class LocalStats:
     kd: list = field(default_factory=list)
     gen: list = field(default_factory=list)
 
-    def means(self) -> tuple[float, float, float]:
-        if not self.ce:
-            return 0.0, 0.0, 0.0
-        return (
-            float(np.mean(self.ce)),
-            float(np.mean(self.kd)),
-            float(np.mean(self.gen)),
-        )
-
 
 def kd_loss(
     student_logits: np.ndarray,

@@ -13,7 +13,7 @@ import pytest
 
 from kdia import aggregate, freqs, generator, harness, nn, orchestrator, trainer
 from kdia.config import heterogeneity_benchmark_config
-from kdia.gradcheck import fd_array_grad, fd_model_grads, max_relative_error
+from kdia.gradcheck import run_suite
 
 
 def report(criterion, ok, detail):
@@ -63,85 +63,7 @@ def test_01_weight_law_suite():
 
 def test_02_gradient_suite():
     t0 = time.time()
-    rng = np.random.default_rng(7)
-    worst = {"dense": 0.0, "relu": 0.0, "softmax-ce": 0.0, "kd": 0.0, "div": 0.0}
-
-    for _ in range(50):
-        # plain dense layer
-        model = nn.he_uniform_init([4, 3], 1, rng)
-        x = rng.normal(size=(5, 4))
-        y = rng.integers(0, 3, size=5)
-        _, g = nn.softmax_ce_loss(nn.forward(model, x), y)
-        analytic = nn.backward(model, x, g)
-        numeric = fd_model_grads(
-            lambda p: nn.softmax_ce_loss(nn.forward(p, x), y)[0], model
-        )
-        for (agw, agb), (ngw, ngb) in zip(analytic.layers, numeric):
-            worst["dense"] = max(
-                worst["dense"],
-                max_relative_error(agw, ngw),
-                max_relative_error(agb, ngb),
-            )
-
-        # dense stack with a ReLU hidden layer
-        model = nn.he_uniform_init([3, 5, 3], 1, rng)
-        x = rng.normal(size=(4, 3))
-        y = rng.integers(0, 3, size=4)
-        _, g = nn.softmax_ce_loss(nn.forward(model, x), y)
-        analytic = nn.backward(model, x, g)
-        numeric = fd_model_grads(
-            lambda p: nn.softmax_ce_loss(nn.forward(p, x), y)[0], model
-        )
-        for (agw, agb), (ngw, ngb) in zip(analytic.layers, numeric):
-            worst["relu"] = max(
-                worst["relu"],
-                max_relative_error(agw, ngw),
-                max_relative_error(agb, ngb),
-            )
-
-        # tempered softmax cross-entropy
-        tau = float(rng.uniform(0.5, 5.0))
-        logits = rng.normal(size=(6, 4))
-        labels = rng.integers(0, 4, size=6)
-        _, g = nn.softmax_ce_loss(logits, labels, tau)
-        worst["softmax-ce"] = max(
-            worst["softmax-ce"],
-            max_relative_error(
-                g,
-                fd_array_grad(
-                    lambda z: nn.softmax_ce_loss(z, labels, tau)[0], logits
-                ),
-            ),
-        )
-
-        # distillation loss
-        t_logits = rng.normal(size=(6, 4))
-        _, g = trainer.kd_loss(logits, t_logits, tau, 0.5)
-        worst["kd"] = max(
-            worst["kd"],
-            max_relative_error(
-                g,
-                fd_array_grad(
-                    lambda z: trainer.kd_loss(z, t_logits, tau, 0.5)[0], logits
-                ),
-            ),
-        )
-
-        # diversity regularizer
-        noise = rng.normal(size=(6, 3))
-        feats = rng.normal(size=(6, 4))
-        _, g = generator.diversity_loss(noise, feats, eps=1e-3)
-        worst["div"] = max(
-            worst["div"],
-            max_relative_error(
-                g,
-                fd_array_grad(
-                    lambda z: generator.diversity_loss(noise, z, eps=1e-3)[0],
-                    feats,
-                ),
-            ),
-        )
-
+    worst = run_suite(instances=50, seed=7)
     elapsed = time.time() - t0
     layer_ok = worst["dense"] < 1e-4 and worst["relu"] < 1e-4
     loss_ok = all(worst[n] < 1e-5 for n in ("softmax-ce", "kd", "div"))

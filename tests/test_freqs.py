@@ -256,14 +256,3 @@ class TestRoundWeightsProperties:
         ledger = freqs.ClientLedger([10] * 4)
         with pytest.raises(ParameterError):
             freqs.round_weights(ledger, [0], 0)
-
-
-class TestSnapshot:
-    def test_snapshot_lists_every_client(self):
-        ledger = freqs.ClientLedger([4, 8])
-        ledger.record_round([1], 0)
-        text = ledger.snapshot()
-        lines = text.strip().split("\n")
-        assert lines[0] == "client,last_round,participation,samples"
-        assert lines[1] == "0,-1,0,4"
-        assert lines[2] == "1,0,1,8"

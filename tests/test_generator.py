@@ -14,8 +14,6 @@ def small_cfg(**kw):
         gen_epochs=2,
         gen_batches=10,
         batch_size=16,
-        noise_dim=8,
-        hidden_width=16,
         diversity_weight=1.0,
         diversity_epsilon=1e-5,
     )
@@ -26,6 +24,10 @@ def small_cfg(**kw):
 def make_generator(seed, noise_dim=8, n_classes=3, feature_dim=6, hidden=16):
     rng = np.random.default_rng(seed)
     return generator.init_generator(noise_dim, n_classes, feature_dim, hidden, rng)
+
+
+def classifier_stacks(models):
+    return [m.layers[m.split_index :] for m in models]
 
 
 class TestLabelPool:
@@ -149,19 +151,53 @@ class TestDiversityLoss:
 class TestTrainGenerator:
     def test_single_snapshot_ensemble_is_that_classifier(self):
         model = make_random_model(21, [4, 6, 3], 1)
-        feats = np.abs(np.random.default_rng(5).normal(size=(5, 6)))
-        ens = generator.ensemble_logits(feats, [model], [1.0])
-        direct = nn.forward(model, feats, from_classifier_only=True)
-        assert np.array_equal(ens, direct)
+        rng = np.random.default_rng(5)
+        feats = np.abs(rng.normal(size=(5, 6)))
+        labels = rng.integers(0, 3, size=5)
+        ce, grad = generator.ensemble_ce(
+            feats, classifier_stacks([model]), [1.0], labels
+        )
+        logits = nn.forward(model, feats, from_classifier_only=True)
+        direct_ce, grad_logits = nn.softmax_ce_loss(logits, labels)
+        direct = nn.backward(model, feats, grad_logits, from_classifier_only=True)
+        assert ce == direct_ce
+        assert np.array_equal(grad, direct.input_grad)
 
     def test_eq3_literal_rescales_only(self):
         models = [make_random_model(22 + i, [4, 6, 3], 1) for i in range(2)]
-        feats = np.abs(np.random.default_rng(6).normal(size=(5, 6)))
-        plain = generator.ensemble_logits(feats, models, [0.4, 0.6])
-        literal = generator.ensemble_logits(
-            feats, models, [0.4, 0.6], eq3_literal=True
+        rng = np.random.default_rng(6)
+        feats = np.abs(rng.normal(size=(5, 6)))
+        labels = rng.integers(0, 3, size=5)
+        plain = sum(
+            w * nn.forward(m, feats, from_classifier_only=True)
+            for m, w in zip(models, [0.4, 0.6])
         )
-        np.testing.assert_allclose(literal, plain / 2.0, rtol=1e-15)
+        literal, _ = generator.ensemble_ce(
+            feats, classifier_stacks(models), [0.4, 0.6], labels, k_scale=0.5
+        )
+        expect, _ = nn.softmax_ce_loss(plain / 2.0, labels)
+        assert literal == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("k_scale", [1.0, 0.5])
+    def test_ensemble_ce_feature_grad_matches_fd(self, k_scale):
+        # two snapshots whose classifier part has a ReLU hidden layer
+        stacks = classifier_stacks(
+            [make_random_model(26 + i, [4, 6, 5, 3], 1) for i in range(2)]
+        )
+        rng = np.random.default_rng(28)
+        feats = np.abs(rng.normal(size=(6, 6)))
+        labels = rng.integers(0, 3, size=6)
+        p = [0.3, 0.7]
+        _, grad = generator.ensemble_ce(feats, stacks, p, labels, k_scale)
+        numeric = fd_array_grad(
+            lambda z: generator.ensemble_ce(z, stacks, p, labels, k_scale)[0], feats
+        )
+        assert max_relative_error(grad, numeric) < 1e-5
+
+    def test_ensemble_weight_count_mismatch_rejected(self):
+        stacks = classifier_stacks([make_random_model(29, [4, 6, 3], 1)])
+        with pytest.raises(ParameterError):
+            generator.ensemble_ce(np.ones((2, 6)), stacks, [0.5, 0.5], [0, 1])
 
     def test_zero_classifier_dead_gradient_constant_ce(self):
         gen = make_generator(23, n_classes=3, feature_dim=6)
@@ -224,19 +260,19 @@ class TestSynthesizeLocal:
         synth = generator.LocalSynthesizer(gen, 3, 500, 10, 64, seed=0)
         assert len(synth.pool) == 500
 
-    def test_stream_yields_one_batch_per_epoch(self):
+    def test_draw_shapes(self):
         gen = make_generator(52)
-        stream = list(generator.synthesize_local(gen, 200, 5, 32, 3, seed=1))
-        assert len(stream) == 5
-        for feats, labels in stream:
-            assert feats.shape == (32, 6)
-            assert labels.shape == (32,)
+        synth = generator.LocalSynthesizer(gen, 3, 200, 5, 32, seed=1)
+        feats, labels = synth.draw()
+        assert feats.shape == (32, 6)
+        assert labels.shape == (32,)
 
     def test_same_seed_identical_stream(self):
         gen = make_generator(53)
-        a = list(generator.synthesize_local(gen, 90, 4, 32, 3, seed=2))
-        b = list(generator.synthesize_local(gen, 90, 4, 32, 3, seed=2))
-        for (fa, la), (fb, lb) in zip(a, b):
+        a = generator.LocalSynthesizer(gen, 3, 90, 4, 32, seed=2)
+        b = generator.LocalSynthesizer(gen, 3, 90, 4, 32, seed=2)
+        for _ in range(4):
+            (fa, la), (fb, lb) = a.draw(), b.draw()
             assert np.array_equal(fa, fb) and np.array_equal(la, lb)
 
     def test_tiny_pool_batches_capped(self):

@@ -140,18 +140,16 @@ class TestVarianceTrack:
     def test_uniform_vector_zero_variance(self):
         cfg = tiny_cfg(rounds=2, sample_ratio=1.0)
         state = orchestrator.build_state(cfg, master_seed=3)
-        for t in range(2):
-            orchestrator.run_round(state, t)
-        track = harness.variance_track(state.weights_history)
-        np.testing.assert_allclose(track["var_f_intv"], 0.0, atol=1e-30)
+        records = [orchestrator.run_round(state, t) for t in range(2)]
+        np.testing.assert_allclose(
+            [r.var_f_intv for r in records], 0.0, atol=1e-30
+        )
 
     def test_volume_variance_constant(self):
         cfg = tiny_cfg(rounds=4)
         state = orchestrator.build_state(cfg, master_seed=4)
-        for t in range(4):
-            orchestrator.run_round(state, t)
-        track = harness.variance_track(state.weights_history)
-        assert len(set(track["var_f_num"].tolist())) == 1
+        records = [orchestrator.run_round(state, t) for t in range(4)]
+        assert len({r.var_f_num for r in records}) == 1
 
     def test_participation_variance_nonincreasing_after_burn_in(self):
         for seed in range(3):
@@ -255,7 +253,7 @@ class TestCli:
         rc = cli_main(["gradcheck", "--instances", "3", "--seed", "1"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

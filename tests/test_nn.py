@@ -1,13 +1,15 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_model
 from kdia import nn
-from kdia.errors import ParameterError, ShapeError
+from kdia.errors import ParameterError, ProtocolError, ShapeError
 from kdia.gradcheck import fd_array_grad, fd_model_grads, max_relative_error
 
 
@@ -287,6 +289,47 @@ class TestCheckpoint:
         loaded = nn.load_checkpoint(path)
         assert loaded.layers[0][0].tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize(
+        "tail", [b"", b"\x01\x02\x03"], ids=["no-layers", "junk-after-split"]
+    )
+    def test_split_index_without_layers_rejected(self, tmp_path, tail):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(nn.CHECKPOINT_MAGIC + struct.pack("<Q", 0) + tail)
+        with pytest.raises(ProtocolError, match=re.escape(str(path))):
+            nn.load_checkpoint(path)
+
+    @given(st.data())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fuzzed_blob_loads_exactly_or_raises_typed_error(self, tmp_path, data):
+        path = tmp_path / "valid.ckpt"
+        nn.save_checkpoint(make_random_model(62, [3, 4, 2], split_index=1), path)
+        valid = path.read_bytes()
+        blob = data.draw(
+            st.one_of(
+                st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+                st.binary(min_size=1, max_size=80).map(lambda junk: valid + junk),
+                st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+                    lambda ib: valid[: ib[0]] + bytes([ib[1]]) + valid[ib[0] + 1 :]
+                ),
+                st.binary(max_size=120).map(lambda b: nn.CHECKPOINT_MAGIC + b),
+                st.binary(max_size=120),
+            )
+        )
+        fuzzed = tmp_path / "fuzzed.ckpt"
+        fuzzed.write_bytes(blob)
+        try:
+            model = nn.load_checkpoint(fuzzed)
+        except ProtocolError as exc:
+            assert str(fuzzed) in str(exc)
+            return
+        resaved = tmp_path / "resaved.ckpt"
+        nn.save_checkpoint(model, resaved)
+        assert resaved.read_bytes() == blob
+
 
 class TestModelParams:
     def test_incompatible_adjacent_layers_rejected(self):
@@ -301,6 +344,12 @@ class TestModelParams:
             nn.ModelParams(layers, 2)
         nn.ModelParams(layers, 0)
         nn.ModelParams(layers, 1)
+
+    def test_empty_or_zero_width_model_rejected(self):
+        with pytest.raises(ShapeError):
+            nn.ModelParams([], 0)
+        with pytest.raises(ShapeError):
+            nn.ModelParams([(np.zeros((3, 0)), np.zeros(0))], 1)
 
     def test_copy_is_deep(self):
         params = make_random_model(71, [3, 4], split_index=1)
