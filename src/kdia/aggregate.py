@@ -18,29 +18,39 @@ WEIGHT_SUM_TOL = 1e-6
 
 
 class ModelRegistry:
-    """Stored per-client model snapshots, all shape-identical."""
+    """Stored per-client model snapshots in one layout: row ``k`` of the
+    ``(N, P)`` array ``stored`` is client k's flat parameter vector."""
 
     def __init__(self, theta0: ModelParams, n_clients: int):
         if n_clients < 1:
             raise ProtocolError(f"registry needs >= 1 clients, got {n_clients}")
-        self.stored = [theta0.copy() for _ in range(n_clients)]
+        self.layout = theta0.layout
+        self.stored = np.tile(theta0.flat, (n_clients, 1))
 
     @property
     def n_clients(self) -> int:
-        return len(self.stored)
+        return self.stored.shape[0]
 
     def update(self, client_id: int, new_params: ModelParams) -> None:
-        current = self.stored[client_id]
-        if new_params.split_index != current.split_index or len(
-            new_params.layers
-        ) != len(current.layers):
+        if new_params.layout != self.layout:
             raise ShapeError("replacement snapshot has a different architecture")
-        for i, ((w, b), (cw, cb)) in enumerate(
-            zip(new_params.layers, current.layers)
-        ):
-            if w.shape != cw.shape or b.shape != cb.shape:
-                raise ShapeError(f"layer {i}: snapshot shape mismatch")
-        self.stored[client_id] = new_params.copy()
+        self.stored[client_id] = new_params.flat
+
+
+def _convex_combination(rows, weights) -> np.ndarray:
+    """``sum_k weights[k] * rows[k]`` over flat parameter vectors, summed in
+    row order. ``weights`` must sum to 1 within 1e-6."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(rows) != weights.shape[0]:
+        raise ShapeError(f"{len(rows)} models vs {weights.shape[0]} weights")
+    if not len(rows):
+        raise ProtocolError("nothing to aggregate")
+    if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
+        raise ProtocolError(f"weights sum to {weights.sum():.9f}, expected 1")
+    out = weights[0] * rows[0]
+    for row, wt in zip(rows[1:], weights[1:]):
+        out += wt * row
+    return out
 
 
 def weighted_aggregate(models, weights) -> ModelParams:
@@ -50,25 +60,10 @@ def weighted_aggregate(models, weights) -> ModelParams:
     which callers fix to ascending client id.
     """
     models = list(models)
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(models) != weights.shape[0]:
-        raise ShapeError(f"{len(models)} models vs {weights.shape[0]} weights")
-    if not models:
-        raise ProtocolError("nothing to aggregate")
-    if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ProtocolError(f"weights sum to {weights.sum():.9f}, expected 1")
-    first = models[0]
-    out = [
-        (weights[0] * w, weights[0] * b) for w, b in first.layers
-    ]
-    for m, wt in zip(models[1:], weights[1:]):
-        if len(m.layers) != len(first.layers) or m.split_index != first.split_index:
-            raise ShapeError("models have different architectures")
-        for i, (w, b) in enumerate(m.layers):
-            if w.shape != out[i][0].shape:
-                raise ShapeError(f"layer {i}: model shape mismatch")
-            out[i] = (out[i][0] + wt * w, out[i][1] + wt * b)
-    return ModelParams(out, first.split_index)
+    if any(m.layout != models[0].layout for m in models[1:]):
+        raise ShapeError("models have different architectures")
+    flat = _convex_combination([m.flat for m in models], weights)
+    return ModelParams.from_flat(flat, models[0].layout)
 
 
 def aggregate_student(client_models, p) -> ModelParams:
@@ -77,10 +72,7 @@ def aggregate_student(client_models, p) -> ModelParams:
 
 
 def aggregate_teacher(reg: ModelRegistry, teacher_weights) -> ModelParams:
-    """Teacher aggregate over all stored snapshots."""
-    teacher_weights = np.asarray(teacher_weights, dtype=np.float64)
-    if teacher_weights.shape[0] != reg.n_clients:
-        raise ShapeError(
-            f"{teacher_weights.shape[0]} weights for {reg.n_clients} snapshots"
-        )
-    return weighted_aggregate(reg.stored, teacher_weights)
+    """Teacher aggregate over all stored snapshots, in ascending client id."""
+    return ModelParams.from_flat(
+        _convex_combination(reg.stored, teacher_weights), reg.layout
+    )

@@ -16,16 +16,15 @@ from . import gradcheck, harness, nn, orchestrator, trainer
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigError
 
-_BOOL_FIELDS = {
-    f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "bool"
-}
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for f in dataclasses.fields(ExperimentConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.name in _BOOL_FIELDS:
-            parser.add_argument(flag, action="store_true", default=None, dest=f.name)
+        if f.type == "bool":
+            # --flag / --no-flag, so a flag can also switch off a config-file true
+            parser.add_argument(
+                flag, action=argparse.BooleanOptionalAction, default=None, dest=f.name
+            )
         else:
             parser.add_argument(flag, type=str, default=None, dest=f.name, metavar="V")
 

@@ -97,13 +97,12 @@ def combine_freqs(
     f_num: np.ndarray,
     mode: str,
     part_floor: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Combine the three frequency vectors into teacher weights.
+) -> np.ndarray:
+    """Combine the three frequency vectors into normalized teacher weights.
 
-    Returns ``(tri, teacher)`` where ``tri`` is the raw combined vector and
-    ``teacher`` its normalization. ``part_floor`` optionally lifts zero
-    participation frequencies before combining (0 keeps the literal geometric
-    mean, which zeroes never-participated clients).
+    ``part_floor`` optionally lifts zero participation frequencies before
+    combining (0 keeps the literal geometric mean, which zeroes
+    never-participated clients).
     """
     if mode not in WEIGHT_MODES:
         raise ConfigError(f"unknown weighting mode {mode!r}; expected {WEIGHT_MODES}")
@@ -125,7 +124,7 @@ def combine_freqs(
     total = tri.sum()
     if total <= 0.0:
         raise ProtocolError("combined frequency vector sums to zero")
-    return tri, tri / total
+    return tri / total
 
 
 def student_weights(selected, sample_counts) -> np.ndarray:
@@ -150,6 +149,6 @@ def round_weights(
     f_intv = ledger.interval_freqs(t)
     f_part = ledger.participation_freqs()
     f_num = ledger.volume_freqs()
-    _, teacher = combine_freqs(f_intv, f_part, f_num, mode, part_floor)
+    teacher = combine_freqs(f_intv, f_part, f_num, mode, part_floor)
     p = student_weights(selected, ledger.sample_counts)
     return FreqWeights(f_intv, f_part, f_num, teacher, p)

@@ -37,27 +37,13 @@ def fd_array_grad(loss_fn, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray
 def fd_model_grads(loss_fn, params: nn.ModelParams, h: float = DEFAULT_STEP):
     """Central differences over every weight and bias of a model.
 
-    ``loss_fn`` maps a ModelParams to a float. Returns ``(gw, gb)`` pairs in
-    layer order.
+    ``loss_fn`` maps a ModelParams to a float. Returns one vector in
+    ``params.flat`` order.
     """
-    work = params.copy()
-    grads = []
-    for w, b in work.layers:
-        gw = np.zeros_like(w)
-        gb = np.zeros_like(b)
-        for arr, garr in ((w, gw), (b, gb)):
-            flat = arr.reshape(-1)
-            gflat = garr.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = loss_fn(work)
-                flat[i] = orig - h
-                down = loss_fn(work)
-                flat[i] = orig
-                gflat[i] = (up - down) / (2.0 * h)
-        grads.append((gw, gb))
-    return grads
+    layout = params.layout
+    return fd_array_grad(
+        lambda flat: loss_fn(nn.ModelParams.from_flat(flat, layout)), params.flat, h
+    )
 
 
 def max_relative_error(analytic, numeric, floor: float = 1e-3) -> float:
@@ -76,10 +62,7 @@ def _dense_ce_error(model: nn.ModelParams, x: np.ndarray, y: np.ndarray) -> floa
     numeric = fd_model_grads(
         lambda p: nn.softmax_ce_loss(nn.forward(p, x), y)[0], model
     )
-    return max(
-        max(max_relative_error(agw, ngw), max_relative_error(agb, ngb))
-        for (agw, agb), (ngw, ngb) in zip(analytic.layers, numeric)
-    )
+    return max_relative_error(analytic.flat, numeric)
 
 
 def run_suite(instances: int, seed: int) -> dict:

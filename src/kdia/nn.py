@@ -6,6 +6,11 @@ The layer stack is split into an extractor part and a classifier part; the
 classifier can be driven directly with feature batches, which is how
 generated features enter the model.
 
+Every model, gradient and optimizer slot is one contiguous float64 vector in
+the same order as the checkpoint body: per layer, the row-major weight, then
+the bias. Whole-model operations (copy, compare, optimizer steps,
+aggregation) act on that vector; the matmuls act on per-layer views of it.
+
 All functions here are pure: they take values and return values, with no
 hidden shared state.
 """
@@ -13,7 +18,7 @@ hidden shared state.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,35 +27,71 @@ from .errors import ParameterError, ProtocolError, ShapeError
 CHECKPOINT_MAGIC = b"KDIA1"
 
 
-@dataclass
+def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(weight, bias)`` views into ``flat`` for the weight ``shapes``, in
+    order: per layer the row-major weight, then its bias."""
+    views, pos = [], 0
+    for rows, cols in shapes:
+        end = pos + rows * cols
+        views.append((flat[pos:end].reshape(rows, cols), flat[end : end + cols]))
+        pos = end + cols
+    return views
+
+
 class ModelParams:
     """A dense model split into extractor and classifier parts.
 
-    ``layers[i]`` is a ``(weight, bias)`` pair with weight shaped
-    ``(in_width, out_width)`` and bias shaped ``(out_width,)``.
-    Layers ``[0, split_index)`` form the feature extractor and
-    ``[split_index, n)`` the classifier.
+    ``flat`` holds every parameter. ``layers[i]`` is a ``(weight, bias)``
+    pair of views into it, with weight shaped ``(in_width, out_width)`` and
+    bias shaped ``(out_width,)``; a write through either is seen by the
+    other. Layers ``[0, split_index)`` form the feature extractor and
+    ``[split_index, n)`` the classifier. ``layout`` is
+    ``(weight shapes, split_index)``; models with equal layouts share one
+    architecture.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    split_index: int
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ShapeError("a model needs at least one layer")
-        if not 0 <= self.split_index <= len(self.layers):
-            raise ShapeError(
-                f"split_index {self.split_index} out of range for "
-                f"{len(self.layers)} layers"
-            )
-        for i, (w, b) in enumerate(self.layers):
-            if w.ndim != 2 or w.size == 0 or b.ndim != 1 or b.shape[0] != w.shape[1]:
-                raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape}")
-            if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
+    def __init__(self, layers, split_index: int):
+        """Copy a list of ``(weight, bias)`` arrays into a new flat vector."""
+        for i, (w, b) in enumerate(layers):
+            if np.ndim(w) != 2 or np.ndim(b) != 1 or np.shape(b) != np.shape(w)[1:]:
                 raise ShapeError(
-                    f"layer {i}: input width {w.shape[0]} != previous "
-                    f"output width {self.layers[i - 1][0].shape[1]}"
+                    f"layer {i}: weight {np.shape(w)} / bias {np.shape(b)}"
                 )
+        parts = [np.ravel(a) for layer in layers for a in layer] or [np.empty(0)]
+        self._bind(
+            np.concatenate(parts).astype(np.float64, copy=False),
+            tuple(np.shape(w) for w, _ in layers),
+            split_index,
+        )
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layout) -> "ModelParams":
+        """A model over ``flat`` itself (no copy), laid out by ``layout``."""
+        model = cls.__new__(cls)
+        model._bind(flat, *layout)
+        return model
+
+    def _bind(self, flat: np.ndarray, shapes: tuple, split_index: int) -> None:
+        if not shapes:
+            raise ShapeError("a model needs at least one layer")
+        if not 0 <= split_index <= len(shapes):
+            raise ShapeError(
+                f"split_index {split_index} out of range for {len(shapes)} layers"
+            )
+        for i, (rows, cols) in enumerate(shapes):
+            if rows * cols == 0:
+                raise ShapeError(f"layer {i}: empty weight {(rows, cols)}")
+            if i > 0 and shapes[i - 1][1] != rows:
+                raise ShapeError(
+                    f"layer {i}: input width {rows} != previous "
+                    f"output width {shapes[i - 1][1]}"
+                )
+        size = sum(rows * cols + cols for rows, cols in shapes)
+        if flat.shape != (size,):
+            raise ShapeError(f"flat vector {flat.shape} for {size} parameters")
+        self.flat, self.split_index = flat, split_index
+        self.layout = (shapes, split_index)
+        self.layers = _layer_views(flat, shapes)
 
     @property
     def input_width(self) -> int:
@@ -61,34 +102,26 @@ class ModelParams:
         return self.layers[-1][0].shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [(w.copy(), b.copy()) for w, b in self.layers], self.split_index
-        )
+        return ModelParams.from_flat(self.flat.copy(), self.layout)
 
 
 @dataclass
 class Gradients:
-    """Per-layer gradients mirroring a ModelParams layer stack.
+    """Gradients of one backward pass.
 
-    ``layers`` aligns with the layers the backward pass ran over (the whole
-    model, or just the classifier part). ``input_grad`` is the gradient with
-    respect to the batch that was fed in.
+    ``flat`` covers the layers the pass ran over (the whole model, or just
+    the classifier part) in ``ModelParams.flat`` order, so classifier
+    gradients line up with the tail of a whole-model vector. ``input_grad``
+    is the gradient with respect to the batch that was fed in.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    flat: np.ndarray
     input_grad: np.ndarray
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     """Bit-exact equality of two models."""
-    if a.split_index != b.split_index or len(a.layers) != len(b.layers):
-        return False
-    return all(
-        wa.shape == wb.shape
-        and np.array_equal(wa, wb)
-        and np.array_equal(ba, bb)
-        for (wa, ba), (wb, bb) in zip(a.layers, b.layers)
-    )
+    return a.layout == b.layout and np.array_equal(a.flat, b.flat)
 
 
 def he_uniform_init(
@@ -139,19 +172,20 @@ def backward_layers(layers, inputs, grad_out: np.ndarray) -> Gradients:
     the ``inputs`` that ``forward_layers`` returned for it. NaN/Inf anywhere
     in the chain propagates into the final input gradient, which is checked
     once."""
-    grads: list = [None] * len(layers)
+    flat = np.empty(sum(w.size + b.size for w, b in layers))
+    grads = _layer_views(flat, [w.shape for w, _ in layers])
     delta = grad_out
     for i in reversed(range(len(layers))):
-        w, _ = layers[i]
-        x = inputs[i]
-        grads[i] = (x.T @ delta, delta.sum(axis=0))
-        delta = delta @ w.T
+        gw, gb = grads[i]
+        np.matmul(inputs[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
+        delta = delta @ layers[i][0].T
         if i > 0:
             # inputs[i] is the post-ReLU output of layer i-1
             delta = delta * (inputs[i] > 0.0)
     if not np.isfinite(delta).all():
         raise ArithmeticError("backward pass produced non-finite values")
-    return Gradients(grads, delta)
+    return Gradients(flat, delta)
 
 
 def forward(
@@ -243,10 +277,10 @@ def softmax_ce_loss(
 
 @dataclass
 class OptimizerState:
-    """Hyperparameters plus per-layer slot buffers for SGD-momentum or Adam.
+    """Hyperparameters plus slot vectors for SGD-momentum or Adam.
 
-    Slot buffers mirror the shapes of the ModelParams they update:
-    ``(vel_w, vel_b)`` per layer for SGD, ``(m_w, v_w, m_b, v_b)`` for Adam.
+    Each slot is shaped like the ``flat`` vector of the ModelParams it
+    updates: ``(velocity,)`` for SGD, ``(m, v)`` for Adam.
     """
 
     kind: str
@@ -257,7 +291,7 @@ class OptimizerState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    slots: list = field(default_factory=list)
+    slots: tuple = ()
 
 
 def sgd_state(
@@ -266,7 +300,7 @@ def sgd_state(
     momentum: float = 0.0,
     weight_decay: float = 0.0,
 ) -> OptimizerState:
-    slots = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
+    slots = (np.zeros_like(params.flat),)
     return OptimizerState(
         "sgd", learning_rate, weight_decay, momentum=momentum, slots=slots
     )
@@ -280,10 +314,7 @@ def adam_state(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> OptimizerState:
-    slots = [
-        (np.zeros_like(w), np.zeros_like(w), np.zeros_like(b), np.zeros_like(b))
-        for w, b in params.layers
-    ]
+    slots = (np.zeros_like(params.flat), np.zeros_like(params.flat))
     return OptimizerState(
         "adam",
         learning_rate,
@@ -303,41 +334,29 @@ def optimizer_step(
     Weight decay is coupled for both optimizers: ``wd * theta`` is added to
     the raw gradient before any momentum/moment bookkeeping.
     """
-    if len(grads.layers) != len(params.layers):
-        raise ShapeError(
-            f"{len(grads.layers)} gradient layers for {len(params.layers)} layers"
-        )
-    new_layers = []
-    new_slots = []
+    theta, g = params.flat, grads.flat
+    if g.shape != theta.shape:
+        raise ShapeError(f"{g.size} gradient entries for {theta.size} parameters")
     lr, wd = state.learning_rate, state.weight_decay
     if state.kind == "sgd":
-        for (w, b), (gw, gb), (vw, vb) in zip(params.layers, grads.layers, state.slots):
-            vw = state.momentum * vw + gw + wd * w
-            vb = state.momentum * vb + gb + wd * b
-            new_layers.append((w - lr * vw, b - lr * vb))
-            new_slots.append((vw, vb))
+        (vel,) = state.slots
+        vel = state.momentum * vel + g + wd * theta
+        new_theta, slots = theta - lr * vel, (vel,)
     elif state.kind == "adam":
+        m, v = state.slots
         t = state.step_count + 1
         c1 = 1.0 - state.beta1**t
         c2 = 1.0 - state.beta2**t
         b1, b2 = state.beta1, state.beta2
-        for (w, b), (gw, gb), (mw, vw, mb, vb) in zip(
-            params.layers, grads.layers, state.slots
-        ):
-            new_slot, new_layer = [], []
-            for theta, g, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
-                g = g + wd * theta
-                m = b1 * m + (1.0 - b1) * g
-                np.multiply(g, g, out=g)
-                v = b2 * v + (1.0 - b2) * g
-                step = np.sqrt(v / c2)
-                step += state.epsilon
-                np.divide(m / c1, step, out=step)
-                step *= lr
-                new_layer.append(theta - step)
-                new_slot.append((m, v))
-            new_layers.append(tuple(new_layer))
-            new_slots.append((*new_slot[0], *new_slot[1]))
+        g = g + wd * theta
+        m = b1 * m + (1.0 - b1) * g
+        np.multiply(g, g, out=g)
+        v = b2 * v + (1.0 - b2) * g
+        step = np.sqrt(v / c2)
+        step += state.epsilon
+        np.divide(m / c1, step, out=step)
+        step *= lr
+        new_theta, slots = theta - step, (m, v)
     else:
         raise ParameterError(f"unknown optimizer kind {state.kind!r}")
     new_state = OptimizerState(
@@ -349,9 +368,9 @@ def optimizer_step(
         beta2=state.beta2,
         epsilon=state.epsilon,
         step_count=state.step_count + 1,
-        slots=new_slots,
+        slots=slots,
     )
-    return ModelParams(new_layers, params.split_index), new_state
+    return ModelParams.from_flat(new_theta, params.layout), new_state
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -389,11 +408,12 @@ def load_checkpoint(path) -> ModelParams:
         pos += 8 * rows * cols
         b = np.frombuffer(blob, dtype="<f8", count=cols, offset=pos)
         pos += 8 * cols
-        layers.append((w.reshape(rows, cols).copy(), b.copy()))
+        layers.append((w.reshape(rows, cols), b))
     if len(blob) - pos != 8:
         raise ProtocolError(f"{path}: truncated checkpoint")
     (split_index,) = struct.unpack_from("<Q", blob, pos)
     try:
+        # copies the bodies, which are read-only views of ``blob``, into flat
         return ModelParams(layers, split_index)
     except ShapeError as exc:
         raise ProtocolError(f"{path}: {exc}") from exc

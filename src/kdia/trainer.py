@@ -135,10 +135,8 @@ def local_update(
                     cfg.gen_weight * gen_grad,
                     from_classifier_only=True,
                 )
-                offset = params.split_index
-                for i, (gw, gb) in enumerate(cgrads.layers):
-                    lw, lb = grads.layers[offset + i]
-                    grads.layers[offset + i] = (lw + gw, lb + gb)
+                # the classifier layers are the tail of the flat vector
+                grads.flat[-cgrads.flat.size :] += cgrads.flat
             params, state = nn.optimizer_step(params, grads, state)
             stats.ce.append(ce)
             stats.kd.append(kd)

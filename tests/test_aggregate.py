@@ -39,31 +39,37 @@ class TestRegistry:
     def test_init_copies_theta0(self):
         theta0 = make_random_model(1, [3, 5, 2], 1)
         reg = aggregate.ModelRegistry(theta0, 3)
-        for snap in reg.stored:
-            assert nn.params_equal(snap, theta0)
-            assert snap is not theta0
+        assert reg.stored.shape == (3, theta0.flat.size)
+        for row in reg.stored:
+            assert np.array_equal(row, theta0.flat)
+        assert not np.shares_memory(reg.stored, theta0.flat)
 
     def test_update_isolates_other_entries(self):
         theta0 = make_random_model(2, [3, 5, 2], 1)
         reg = aggregate.ModelRegistry(theta0, 3)
         fresh = make_random_model(9, [3, 5, 2], 1)
         reg.update(1, fresh)
-        assert nn.params_equal(reg.stored[1], fresh)
-        assert nn.params_equal(reg.stored[0], theta0)
-        assert nn.params_equal(reg.stored[2], theta0)
+        assert np.array_equal(reg.stored[1], fresh.flat)
+        assert np.array_equal(reg.stored[0], theta0.flat)
+        assert np.array_equal(reg.stored[2], theta0.flat)
 
     def test_update_copies_input(self):
         theta0 = make_random_model(3, [3, 4], 1)
         reg = aggregate.ModelRegistry(theta0, 2)
         fresh = make_random_model(4, [3, 4], 1)
         reg.update(0, fresh)
+        stored = fresh.flat.copy()
         fresh.layers[0][0][0, 0] += 1.0
-        assert not nn.params_equal(reg.stored[0], fresh)
+        assert np.array_equal(reg.stored[0], stored)
+        assert not np.array_equal(reg.stored[0], fresh.flat)
 
     def test_update_shape_mismatch_rejected(self):
         reg = aggregate.ModelRegistry(make_random_model(5, [3, 4], 1), 2)
         with pytest.raises(ShapeError):
             reg.update(0, make_random_model(6, [3, 5], 1))
+        # same parameter count, different extractor/classifier split
+        with pytest.raises(ShapeError):
+            reg.update(0, make_random_model(6, [3, 4], 0))
 
     def test_fresh_registry_aggregates_to_theta0(self):
         theta0 = make_random_model(7, [4, 6, 3], 1)
@@ -180,7 +186,6 @@ class TestTeacherStudentAggregates:
     def test_aggregation_never_mutates_registry(self):
         theta0 = make_random_model(70, [3, 4], 1)
         reg = aggregate.ModelRegistry(theta0, 3)
-        before = [s.copy() for s in reg.stored]
+        before = reg.stored.copy()
         aggregate.aggregate_teacher(reg, [0.1, 0.4, 0.5])
-        for s, b in zip(reg.stored, before):
-            assert nn.params_equal(s, b)
+        assert np.array_equal(reg.stored, before)

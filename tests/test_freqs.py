@@ -137,30 +137,41 @@ class TestCombine:
 
     def test_tri_gm_round_zero_splits_between_participants(self):
         ledger = self.setup_round_zero()
-        f_intv = ledger.interval_freqs(0)
-        f_part = ledger.participation_freqs()
-        f_num = ledger.volume_freqs()
-        tri, teacher = freqs.combine_freqs(f_intv, f_part, f_num, "tri-gm")
-        # cube-root oracle for the two symmetric participants
-        expect_tri = (f_intv[0] * 0.5 * 0.25) ** (1.0 / 3.0)
-        np.testing.assert_allclose(tri[:2], expect_tri, rtol=1e-14)
+        teacher = freqs.combine_freqs(
+            ledger.interval_freqs(0),
+            ledger.participation_freqs(),
+            ledger.volume_freqs(),
+            "tri-gm",
+        )
         np.testing.assert_allclose(teacher, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
+        # unequal volumes: the participants split by the cube root of the
+        # frequency product (an arithmetic mean or a plain product would not)
+        ledger = freqs.ClientLedger([10, 30, 10, 10])
+        ledger.record_round([0, 1], 0)
+        f_intv = ledger.interval_freqs(0)
+        teacher = freqs.combine_freqs(
+            f_intv, ledger.participation_freqs(), ledger.volume_freqs(), "tri-gm"
+        )
+        tri = [(f_intv[0] * 0.5 * n) ** (1.0 / 3.0) for n in (1 / 6, 3 / 6)]
+        np.testing.assert_allclose(
+            teacher, [tri[0] / sum(tri), tri[1] / sum(tri), 0.0, 0.0], rtol=1e-14
+        )
 
     def test_uniform_inputs_uniform_output_all_modes(self):
         u = np.full(6, 1.0 / 6.0)
         for mode in freqs.WEIGHT_MODES:
-            _, teacher = freqs.combine_freqs(u, u, u, mode)
+            teacher = freqs.combine_freqs(u, u, u, mode)
             np.testing.assert_allclose(teacher, u, rtol=1e-14)
 
     def test_num_mode_pass_through(self):
         f_num = np.array([0.1, 0.2, 0.3, 0.4])
         other = np.array([0.25, 0.25, 0.25, 0.25])
-        _, teacher = freqs.combine_freqs(other, other, f_num, "num")
+        teacher = freqs.combine_freqs(other, other, f_num, "num")
         np.testing.assert_allclose(teacher, f_num, rtol=1e-15)
 
     def test_part_floor_lifts_zeros(self):
         ledger = self.setup_round_zero()
-        _, teacher = freqs.combine_freqs(
+        teacher = freqs.combine_freqs(
             ledger.interval_freqs(0),
             ledger.participation_freqs(),
             ledger.volume_freqs(),

@@ -228,6 +228,26 @@ class TestCli:
         loaded = nn.load_checkpoint(tmp_path / "checkpoints-seed0" / "student-0001.ckpt")
         assert loaded.split_index == 1
 
+    def test_flag_switches_off_config_file_boolean(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "disable_gen = true\n"
+            "n_classes = 3\nsamples_per_class = 40\nd_in = 4\nfeature_dim = 8\n"
+            "gen_hidden = 8\nnoise_dim = 5\ngen_epochs = 1\ngen_batches = 2\n"
+            "gen_batch_size = 8\nn_clients = 4\nsample_ratio = 0.5\nrounds = 1\n"
+            "local_epochs = 1\nbatch_size = 16\nseeds = 0\n"
+        )
+        # a generator checkpoint is written exactly when disable_gen is False
+        for flags, gen_on in (([], False), (["--no-disable-gen"], True)):
+            out = tmp_path / ("on" if gen_on else "off")
+            rc = cli_main(
+                ["run", "--config", str(cfg), "--out-dir", str(out),
+                 "--checkpoint-interval", "1", *flags]
+            )
+            assert rc == 0
+            ckpts = os.listdir(out / "checkpoints-seed0")
+            assert ("generator-0000.ckpt" in ckpts) == gen_on
+
     def test_fedavg_ref_verb(self, tmp_path):
         rc = cli_main(
             [

@@ -1,9 +1,20 @@
 """Source-layout guards for the kdia package."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kdia"
+import numpy as np
+
+from kdia import nn
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kdia"
+PERFBENCH_RUN = ROOT / "perfbench" / "run.py"
+# span-name tables of the benchmark that must name kdia functions
+SPAN_TABLES = ("STAGES", "PER_ROUND_S", "PER_ROUND_CALLS", "SUFFIX")
 MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
@@ -47,3 +58,72 @@ def test_no_module_uses_another_modules_private_helpers():
         if (uses := private_cross_module_uses(path.read_text(encoding="utf-8")))
     }
     assert not offenders, offenders
+
+
+def perfbench_tables() -> dict:
+    """The span-name tables of ``perfbench/run.py``, read without importing
+    it: the tuples as tuples, ``SUFFIX`` as ``{span name: lambda node}``."""
+    tables = {}
+    for node in ast.parse(PERFBENCH_RUN.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
+            if name == "SUFFIX":
+                tables[name] = {
+                    ast.literal_eval(k): v for k, v in zip(node.value.keys, node.value.values)
+                }
+            elif name in SPAN_TABLES:
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def kdia_function(span: str):
+    """The public function or method ``module.name`` or
+    ``module.Class.method`` of kdia that a span name stands for, or None."""
+    module, *path = span.split(".")
+    if module not in MODULES or not 1 <= len(path) <= 2 or any(p.startswith("_") for p in path):
+        return None
+    owner = importlib.import_module(f"kdia.{module}")
+    if len(path) == 2:
+        owner = vars(owner).get(path[0])
+        if not inspect.isclass(owner) or owner.__module__ != f"kdia.{module}":
+            return None
+    fn = vars(owner).get(path[-1])
+    if not inspect.isfunction(fn) or fn.__module__ != f"kdia.{module}":
+        return None
+    return fn
+
+
+def test_span_resolver_accepts_only_public_kdia_functions():
+    assert kdia_function("aggregate.ModelRegistry.update") is not None
+    assert kdia_function("nn.optimizer_step") is nn.optimizer_step
+    for span in ("nn._target_rows", "nn.np", "nn.ModelParams", "nn.nothing", "numpy.sum",
+                 "aggregate.ModelRegistry.update.x"):
+        assert kdia_function(span) is None, span
+
+
+def test_benchmark_span_names_resolve_to_public_kdia_functions():
+    tables = perfbench_tables()
+    assert set(tables) == set(SPAN_TABLES)
+    suffixed = tables["SUFFIX"]
+    unresolved = []
+    for table in SPAN_TABLES:
+        for span in tables[table]:
+            base = next((k for k in suffixed if span.startswith(k + ".")), span)
+            if kdia_function(base) is None:
+                unresolved.append(f"{table}: {span}")
+    assert not unresolved, unresolved
+
+
+def test_benchmark_optimizer_suffix_reads_the_state_kind():
+    lam = perfbench_tables()["SUFFIX"]["nn.optimizer_step"]
+    # ``lambda args: "." + args[<index>].<attr>``
+    read = lam.body.right
+    assert isinstance(read, ast.Attribute) and isinstance(read.value, ast.Subscript)
+    index, attr = ast.literal_eval(read.value.slice), read.attr
+    param = list(inspect.signature(nn.optimizer_step).parameters)[index]
+    assert typing.get_type_hints(nn.optimizer_step)[param] is nn.OptimizerState
+    model = nn.ModelParams([(np.ones((2, 2)), np.zeros(2))], 1)
+    states = (nn.sgd_state(model, 0.1), nn.adam_state(model, 0.1))
+    kinds = {getattr(state, attr) for state in states}
+    spans = {s for t in ("PER_ROUND_S", "PER_ROUND_CALLS") for s in perfbench_tables()[t]}
+    assert {s.rsplit(".", 1)[1] for s in spans if s.startswith("nn.optimizer_step.")} == kinds

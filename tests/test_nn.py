@@ -145,8 +145,8 @@ class TestBackward:
         params = make_random_model(5, [3, 5, 2], split_index=1)
         batch = np.random.default_rng(6).normal(size=(4, 3))
         grads = nn.backward(params, batch, np.zeros((4, 2)))
-        for gw, gb in grads.layers:
-            assert not gw.any() and not gb.any()
+        assert grads.flat.shape == params.flat.shape
+        assert not grads.flat.any()
         assert not grads.input_grad.any()
 
     def test_single_linear_layer_closed_form(self):
@@ -154,8 +154,11 @@ class TestBackward:
         params = make_random_model(9, [3, 4], split_index=1)
         batch = np.random.default_rng(10).normal(size=(5, 3))
         grads = nn.backward(params, batch, np.ones((5, 4)))
-        np.testing.assert_allclose(grads.layers[0][0], batch.T @ np.ones((5, 4)))
-        np.testing.assert_allclose(grads.layers[0][1], np.full(4, 5.0))
+        # flat order: the row-major 3x4 weight, then the bias
+        np.testing.assert_allclose(
+            grads.flat[:12].reshape(3, 4), batch.T @ np.ones((5, 4))
+        )
+        np.testing.assert_allclose(grads.flat[12:], np.full(4, 5.0))
 
     @pytest.mark.parametrize(
         "widths,split",
@@ -180,9 +183,8 @@ class TestBackward:
         _, grad_logits = nn.softmax_ce_loss(nn.forward(params, batch), labels)
         analytic = nn.backward(params, batch, grad_logits)
         numeric = fd_model_grads(loss_fn, params, h=1e-5)
-        for (agw, agb), (ngw, ngb) in zip(analytic.layers, numeric):
-            assert max_relative_error(agw, ngw) < 1e-4
-            assert max_relative_error(agb, ngb) < 1e-4
+        assert numeric.shape == analytic.flat.shape
+        assert max_relative_error(analytic.flat, numeric) < 1e-4
 
     def test_classifier_only_input_grad_matches_fd(self):
         params = make_random_model(17, [4, 6, 3], split_index=1)
@@ -197,7 +199,7 @@ class TestBackward:
         logits = nn.forward(params, feats, from_classifier_only=True)
         _, grad_logits = nn.softmax_ce_loss(logits, labels)
         grads = nn.backward(params, feats, grad_logits, from_classifier_only=True)
-        assert len(grads.layers) == 1
+        assert grads.flat.size == 6 * 3 + 3  # the classifier layer only
         numeric = fd_array_grad(loss_of_feats, feats)
         assert max_relative_error(grads.input_grad, numeric) < 1e-5
 
@@ -211,17 +213,14 @@ class TestOptimizerStep:
     def test_zero_gradient_no_op(self):
         params = make_random_model(41, [3, 4], split_index=1)
         state = nn.sgd_state(params, learning_rate=0.1)
-        zero = nn.Gradients(
-            [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers],
-            np.zeros((1, 3)),
-        )
+        zero = nn.Gradients(np.zeros_like(params.flat), np.zeros((1, 3)))
         updated, _ = nn.optimizer_step(params, zero, state)
         assert nn.params_equal(updated, params)
 
     def test_single_sgd_step_scalar(self):
         params = nn.ModelParams([(np.array([[1.0]]), np.zeros(1))], 0)
         state = nn.sgd_state(params, learning_rate=0.1)
-        grads = nn.Gradients([(np.array([[1.0]]), np.zeros(1))], np.zeros((1, 1)))
+        grads = nn.Gradients(np.array([1.0, 0.0]), np.zeros((1, 1)))
         updated, _ = nn.optimizer_step(params, grads, state)
         assert updated.layers[0][0][0, 0] == pytest.approx(0.9, abs=1e-15)
 
@@ -238,8 +237,8 @@ class TestOptimizerStep:
         params = nn.ModelParams([(np.array([[1.0]]), np.zeros(1))], 0)
         state = nn.sgd_state(params, eta, momentum=mom, weight_decay=wd)
         for expect in trajectory:
-            g = params.layers[0][0].copy()  # grad of 0.5 theta^2 is theta
-            grads = nn.Gradients([(g, np.zeros(1))], np.zeros((1, 1)))
+            g = np.array([params.layers[0][0][0, 0], 0.0])  # grad of 0.5 theta^2 is theta
+            grads = nn.Gradients(g, np.zeros((1, 1)))
             params, state = nn.optimizer_step(params, grads, state)
             assert params.layers[0][0][0, 0] == pytest.approx(expect, abs=1e-15)
 
@@ -247,8 +246,8 @@ class TestOptimizerStep:
         params = nn.ModelParams([(np.array([[2.0]]), np.zeros(1))], 0)
         state = nn.adam_state(params, learning_rate=0.05)
         for _ in range(50):
-            g = params.layers[0][0].copy()
-            grads = nn.Gradients([(g, np.zeros(1))], np.zeros((1, 1)))
+            g = np.array([params.layers[0][0][0, 0], 0.0])
+            grads = nn.Gradients(g, np.zeros((1, 1)))
             params, state = nn.optimizer_step(params, grads, state)
         assert abs(params.layers[0][0][0, 0]) < 1.0
         assert state.step_count == 50
@@ -257,13 +256,11 @@ class TestOptimizerStep:
         params = make_random_model(51, [3, 4], split_index=1)
         before = params.copy()
         state = nn.sgd_state(params, 0.1, momentum=0.9)
-        grads = nn.Gradients(
-            [(np.ones_like(w), np.ones_like(b)) for w, b in params.layers],
-            np.zeros((1, 3)),
-        )
+        grads = nn.Gradients(np.ones_like(params.flat), np.zeros((1, 3)))
         nn.optimizer_step(params, grads, state)
         assert nn.params_equal(params, before)
-        assert not state.slots[0][0].any()
+        assert not state.slots[0].any()
+        assert np.array_equal(grads.flat, np.ones_like(params.flat))
 
 
 class TestCheckpoint:
@@ -354,5 +351,32 @@ class TestModelParams:
     def test_copy_is_deep(self):
         params = make_random_model(71, [3, 4], split_index=1)
         dup = params.copy()
+        assert not np.shares_memory(dup.flat, params.flat)
         dup.layers[0][0][0, 0] += 1.0
         assert not nn.params_equal(dup, params)
+
+    def test_layers_are_views_of_flat(self):
+        params = make_random_model(72, [3, 4, 2], split_index=1)
+        (w0, b0), (w1, b1) = params.layers
+        # flat order: per layer the row-major weight, then the bias
+        np.testing.assert_array_equal(
+            params.flat, np.concatenate([w0.ravel(), b0, w1.ravel(), b1])
+        )
+        w1[2, 1] = 7.0
+        assert params.flat[12 + 4 + 2 * 2 + 1] == 7.0
+        params.flat[12 + 4 + 8] = -3.0
+        assert b1[0] == -3.0
+
+    def test_from_flat_wraps_without_copy_and_checks_size(self):
+        params = make_random_model(73, [3, 4], split_index=1)
+        flat = np.arange(16.0)
+        wrapped = nn.ModelParams.from_flat(flat, params.layout)
+        assert wrapped.flat is flat and wrapped.layout == params.layout
+        with pytest.raises(ShapeError):
+            nn.ModelParams.from_flat(np.zeros(15), params.layout)
+
+    def test_layer_list_constructor_copies(self):
+        w, b = np.ones((2, 3)), np.zeros(3)
+        params = nn.ModelParams([(w, b)], 1)
+        w[0, 0] = 5.0
+        assert params.layers[0][0][0, 0] == 1.0

@@ -86,15 +86,15 @@ class TestRunRound:
     def test_ledger_and_registry_bookkeeping(self):
         cfg = tiny_cfg(rounds=5)
         state = orchestrator.build_state(cfg, master_seed=1)
-        snapshots = [s.copy() for s in state.registry.stored]
+        snapshots = state.registry.stored.copy()
         total_selected = 0
         for t in range(cfg.rounds):
             rec = orchestrator.run_round(state, t)
             total_selected += len(rec.selected)
             for k in range(cfg.n_clients):
-                changed = not nn.params_equal(state.registry.stored[k], snapshots[k])
+                changed = not np.array_equal(state.registry.stored[k], snapshots[k])
                 if k in rec.selected:
-                    snapshots[k] = state.registry.stored[k].copy()
+                    snapshots[k] = state.registry.stored[k]
                 else:
                     assert not changed, f"client {k} snapshot changed while idle"
         assert state.ledger.part_counts.sum() == total_selected
