@@ -20,7 +20,7 @@ y = rng.integers(0, 4, size=8)
 _, grad_logits = nn.softmax_ce_loss(nn.forward(model, x), y)
 analytic = nn.backward(model, x, grad_logits)
 numeric = fd_model_grads(lambda p: nn.softmax_ce_loss(nn.forward(p, x), y)[0], model)
-worst = max_relative_error(analytic.flat, numeric)
+worst = max_relative_error(analytic, numeric)
 print(f"dense+ReLU backprop vs finite differences: max rel error {worst:.2e}")
 
 # tempered softmax cross-entropy at tau = 2

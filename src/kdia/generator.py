@@ -8,6 +8,12 @@ noise draws toward distinct features. Labels are pre-sampled into a pool and
 reshuffled every epoch rather than drawn per batch, which keeps the overall
 label mix close to uniform.
 
+Each classifier part is one dense layer, so the weighted ensemble of their
+logits is itself one dense layer. ``ensemble_head`` builds it once per
+``train_generator`` call, and every step runs that single head forward and
+back. The loop trains a copy of the generator in place, reusing one input
+buffer and writing the loss traces into preallocated arrays.
+
 Clients use the same machinery with the generator frozen; clients with fewer
 samples than one batch get an enlarged pool so every local epoch sees fresh
 synthetic rows.
@@ -120,31 +126,43 @@ def diversity_loss(
     return loss, grad
 
 
-def ensemble_ce(
-    feats: np.ndarray, classifiers, p, labels: np.ndarray, k_scale: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy of the weighted classifier ensemble on generated features
-    and its exact gradient with respect to ``feats``.
+def ensemble_head(snapshots, p, k_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted ensemble of the snapshots' classifier parts as one dense
+    layer ``(w, b)``: ``w = k_scale * sum_k p_k * w_k``, and ``b`` likewise.
 
-    ``classifiers`` are frozen classifier layer stacks
-    (``snap.layers[snap.split_index:]``), one per weight in ``p``. The
-    ensemble logits are ``k_scale * sum_k p_k * logits_k``; ``k_scale`` is
-    1/K for the literal Eq. 3 form and 1 otherwise, and only rescales the
-    pre-softmax logits.
+    Its logits equal ``k_scale * sum_k p_k * logits_k`` up to rounding,
+    because each classifier part is a single linear layer; a deeper one
+    raises ``ShapeError``. ``k_scale`` is 1/K for the literal Eq. 3 form and
+    1 otherwise, and only rescales the pre-softmax logits.
     """
-    if not classifiers or len(classifiers) != len(p):
+    if not snapshots or len(snapshots) != len(p):
         raise ParameterError(
-            f"{len(classifiers)} classifiers for {len(p)} ensemble weights"
+            f"{len(snapshots)} classifier snapshots for {len(p)} ensemble weights"
         )
-    traces = [nn.forward_layers(layers, feats) for layers in classifiers]
-    logits = k_scale * sum(weight * out for (out, _), weight in zip(traces, p))
+    w = b = 0.0
+    for k, (snap, weight) in enumerate(zip(snapshots, p)):
+        head = snap.layers[snap.split_index :]
+        if len(head) != 1:
+            raise ShapeError(
+                f"snapshot {k}: classifier part has {len(head)} layers, "
+                "the ensemble head needs exactly one"
+            )
+        ((wk, bk),) = head
+        if k > 0 and wk.shape != w.shape:
+            raise ShapeError(f"snapshot {k}: classifier weight {wk.shape} != {w.shape}")
+        w = w + weight * wk
+        b = b + weight * bk
+    return k_scale * w, k_scale * b
+
+
+def ensemble_ce(
+    feats: np.ndarray, head: tuple[np.ndarray, np.ndarray], labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Cross-entropy of the ensemble ``head`` (from ``ensemble_head``) on
+    generated features, and its exact gradient with respect to ``feats``."""
+    logits, _ = nn.forward_layers([head], feats)
     ce, grad_logits = nn.softmax_ce_loss(logits, labels)
-    grad_feats = sum(
-        (weight * k_scale)
-        * nn.backward_layers(layers, inputs, grad_logits).input_grad
-        for layers, (_, inputs), weight in zip(classifiers, traces, p)
-    )
-    return ce, grad_feats
+    return ce, grad_logits @ head[0].T
 
 
 def train_generator(
@@ -160,41 +178,47 @@ def train_generator(
 
     Batches walk the shuffled pool with wraparound, draw fresh Gaussian noise,
     and minimize ensemble cross-entropy plus the weighted diversity term.
-    Classifier snapshots are never modified. Returns the updated generator and
-    per-step loss traces.
+    ``gen`` and the classifier snapshots are never modified. Returns the
+    updated copy of the generator and per-step loss traces.
     """
     snapshots = list(classifier_snapshots)
     if not snapshots:
         raise ParameterError("need at least one classifier snapshot")
-    p = np.asarray(p, dtype=np.float64)
-    classifiers = [snap.layers[snap.split_index :] for snap in snapshots]
+    k_scale = 1.0 / len(snapshots) if cfg.eq3_literal else 1.0
+    head = ensemble_head(snapshots, np.asarray(p, dtype=np.float64), k_scale)
     rng = np.random.default_rng(seed)
     noise_dim = gen.input_width - n_classes
-    pool = sample_label_pool(cfg.gen_epochs * cfg.gen_batches, n_classes, rng)
+    steps = cfg.gen_epochs * cfg.gen_batches
+    pool = sample_label_pool(steps, n_classes, rng)
+    gen = gen.copy()
     state = nn.adam_state(gen, cfg.learning_rate, cfg.weight_decay)
-    ce_trace, div_trace = [], []
-    k_scale = 1.0 / len(snapshots) if cfg.eq3_literal else 1.0
+    ce_trace, div_trace = np.empty(steps), np.empty(steps)
+    # one input buffer: the batch's noise, then its one-hot labels
+    stacked = np.zeros((cfg.batch_size, noise_dim + n_classes))
+    noise = np.empty((cfg.batch_size, noise_dim))
+    rows = np.arange(cfg.batch_size)
+    step = 0
     for _ in range(cfg.gen_epochs):
         rng.shuffle(pool)
-        epoch_noise = rng.normal(size=(cfg.gen_batches * cfg.batch_size, noise_dim))
         for b in range(cfg.gen_batches):
             lo = b * cfg.batch_size
-            idx = np.arange(lo, lo + cfg.batch_size) % len(pool)
-            labels = pool[idx]
-            noise = epoch_noise[lo : lo + cfg.batch_size]
-            stacked = np.hstack([noise, _one_hot(labels, n_classes)])
+            labels = pool[(lo + rows) % len(pool)]
+            # batch by batch, the same stream as one epoch-sized draw
+            rng.standard_normal(out=noise)
+            stacked[:, :noise_dim] = noise
+            stacked[:, noise_dim:] = 0.0
+            stacked[rows, noise_dim + labels] = 1.0
             pre, gen_inputs = nn.forward_layers(gen.layers, stacked)
             feats = np.maximum(pre, 0.0)
-            ce, grad_feats = ensemble_ce(feats, classifiers, p, labels, k_scale)
+            ce, grad_feats = ensemble_ce(feats, head, labels)
             div, grad_div = diversity_loss(noise, feats, cfg.diversity_epsilon)
-            grad_feats = grad_feats + cfg.diversity_weight * grad_div
-            grads = nn.backward_layers(
-                gen.layers, gen_inputs, grad_feats * (pre > 0.0)
-            )
-            gen, state = nn.optimizer_step(gen, grads, state)
-            ce_trace.append(ce)
-            div_trace.append(div)
-    return gen, {"ce": np.array(ce_trace), "diversity": np.array(div_trace)}
+            grad_feats += cfg.diversity_weight * grad_div
+            grad_feats *= pre > 0.0
+            grads = nn.backward_layers(gen.layers, gen_inputs, grad_feats)
+            nn.optimizer_step(gen, grads, state)
+            ce_trace[step], div_trace[step] = ce, div
+            step += 1
+    return gen, {"ce": ce_trace, "diversity": div_trace}
 
 
 class LocalSynthesizer:

@@ -62,7 +62,7 @@ def _dense_ce_error(model: nn.ModelParams, x: np.ndarray, y: np.ndarray) -> floa
     numeric = fd_model_grads(
         lambda p: nn.softmax_ce_loss(nn.forward(p, x), y)[0], model
     )
-    return max_relative_error(analytic.flat, numeric)
+    return max_relative_error(analytic, numeric)
 
 
 def run_suite(instances: int, seed: int) -> dict:

@@ -139,7 +139,7 @@ def train_centralized_reference(
             ix = order[lo : lo + cfg.batch_size]
             x, y = ds.features[ix], ds.labels[ix]
             _, grad = nn.softmax_ce_loss(nn.forward(model, x), y)
-            model, state = nn.optimizer_step(model, nn.backward(model, x, grad), state)
+            nn.optimizer_step(model, nn.backward(model, x, grad), state)
     return model
 
 

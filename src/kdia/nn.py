@@ -11,8 +11,11 @@ the same order as the checkpoint body: per layer, the row-major weight, then
 the bias. Whole-model operations (copy, compare, optimizer steps,
 aggregation) act on that vector; the matmuls act on per-layer views of it.
 
-All functions here are pure: they take values and return values, with no
-hidden shared state.
+Backward passes return only that flat parameter gradient, never the
+gradient with respect to the batch. ``optimizer_step`` is the one function
+that writes to its arguments: it updates the model's vector and the
+optimizer's slots in place, so callers step a copy they own. Everything else
+takes values and returns new values, with no hidden shared state.
 """
 
 from __future__ import annotations
@@ -105,20 +108,6 @@ class ModelParams:
         return ModelParams.from_flat(self.flat.copy(), self.layout)
 
 
-@dataclass
-class Gradients:
-    """Gradients of one backward pass.
-
-    ``flat`` covers the layers the pass ran over (the whole model, or just
-    the classifier part) in ``ModelParams.flat`` order, so classifier
-    gradients line up with the tail of a whole-model vector. ``input_grad``
-    is the gradient with respect to the batch that was fed in.
-    """
-
-    flat: np.ndarray
-    input_grad: np.ndarray
-
-
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     """Bit-exact equality of two models."""
     return a.layout == b.layout and np.array_equal(a.flat, b.flat)
@@ -167,11 +156,16 @@ def forward_layers(layers, batch, first_index: int = 0):
     return x, inputs
 
 
-def backward_layers(layers, inputs, grad_out: np.ndarray) -> Gradients:
-    """Exact gradients of ``sum(grad_out * out)`` over a layer stack, given
-    the ``inputs`` that ``forward_layers`` returned for it. NaN/Inf anywhere
-    in the chain propagates into the final input gradient, which is checked
-    once."""
+def backward_layers(layers, inputs, grad_out: np.ndarray) -> np.ndarray:
+    """Exact parameter gradient of ``sum(grad_out * out)`` over a layer
+    stack, given the ``inputs`` that ``forward_layers`` returned for it.
+
+    Returns one vector in ``ModelParams.flat`` order over the layers the pass
+    ran over (the whole model, or just the classifier part), so classifier
+    gradients line up with the tail of a whole-model vector. The pass stops
+    at the first layer's weight gradient. NaN/Inf anywhere in the chain
+    reaches that vector, which is checked once.
+    """
     flat = np.empty(sum(w.size + b.size for w, b in layers))
     grads = _layer_views(flat, [w.shape for w, _ in layers])
     delta = grad_out
@@ -179,13 +173,12 @@ def backward_layers(layers, inputs, grad_out: np.ndarray) -> Gradients:
         gw, gb = grads[i]
         np.matmul(inputs[i].T, delta, out=gw)
         delta.sum(axis=0, out=gb)
-        delta = delta @ layers[i][0].T
         if i > 0:
             # inputs[i] is the post-ReLU output of layer i-1
-            delta = delta * (inputs[i] > 0.0)
-    if not np.isfinite(delta).all():
+            delta = (delta @ layers[i][0].T) * (inputs[i] > 0.0)
+    if not np.isfinite(flat).all():
         raise ArithmeticError("backward pass produced non-finite values")
-    return Gradients(flat, delta)
+    return flat
 
 
 def forward(
@@ -211,8 +204,9 @@ def backward(
     batch: np.ndarray,
     grad_logits: np.ndarray,
     from_classifier_only: bool = False,
-) -> Gradients:
-    """Exact gradients of ``sum(grad_logits * logits)`` for every active layer."""
+) -> np.ndarray:
+    """Exact flat gradient of ``sum(grad_logits * logits)`` over every active
+    layer (see ``backward_layers``)."""
     start = params.split_index if from_classifier_only else 0
     layers = params.layers[start:]
     logits, inputs = forward_layers(layers, batch, start)
@@ -327,50 +321,48 @@ def adam_state(
 
 
 def optimizer_step(
-    params: ModelParams, grads: Gradients, state: OptimizerState
-) -> tuple[ModelParams, OptimizerState]:
-    """One update step. Returns fresh params and state; inputs are untouched.
+    params: ModelParams, grads: np.ndarray, state: OptimizerState
+) -> None:
+    """One update step, in place: writes ``params.flat``, the slots of
+    ``state`` and its ``step_count``. ``grads`` is a flat gradient in
+    ``params.flat`` order and is left untouched.
 
     Weight decay is coupled for both optimizers: ``wd * theta`` is added to
-    the raw gradient before any momentum/moment bookkeeping.
+    the raw gradient before any momentum/moment bookkeeping. Adam applies
+    its bias corrections as two scalars, ``lr / c1`` on the first moment and
+    ``1 / sqrt(c2)`` on the root of the second.
     """
-    theta, g = params.flat, grads.flat
-    if g.shape != theta.shape:
-        raise ShapeError(f"{g.size} gradient entries for {theta.size} parameters")
+    theta = params.flat
+    if grads.shape != theta.shape:
+        raise ShapeError(f"{grads.size} gradient entries for {theta.size} parameters")
     lr, wd = state.learning_rate, state.weight_decay
     if state.kind == "sgd":
         (vel,) = state.slots
-        vel = state.momentum * vel + g + wd * theta
-        new_theta, slots = theta - lr * vel, (vel,)
+        # vel = momentum * vel + g + wd * theta, summed in that order
+        vel *= state.momentum
+        vel += grads
+        vel += wd * theta
+        theta -= lr * vel
     elif state.kind == "adam":
         m, v = state.slots
         t = state.step_count + 1
-        c1 = 1.0 - state.beta1**t
-        c2 = 1.0 - state.beta2**t
         b1, b2 = state.beta1, state.beta2
-        g = g + wd * theta
-        m = b1 * m + (1.0 - b1) * g
-        np.multiply(g, g, out=g)
-        v = b2 * v + (1.0 - b2) * g
-        step = np.sqrt(v / c2)
+        g = wd * theta
+        g += grads
+        m *= b1
+        m += (1.0 - b1) * g
+        g *= g
+        v *= b2
+        v += (1.0 - b2) * g
+        step = np.sqrt(v)
+        step *= 1.0 / np.sqrt(1.0 - b2**t)
         step += state.epsilon
-        np.divide(m / c1, step, out=step)
-        step *= lr
-        new_theta, slots = theta - step, (m, v)
+        np.divide(m, step, out=step)
+        step *= lr / (1.0 - b1**t)
+        theta -= step
     else:
         raise ParameterError(f"unknown optimizer kind {state.kind!r}")
-    new_state = OptimizerState(
-        state.kind,
-        lr,
-        wd,
-        momentum=state.momentum,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-        step_count=state.step_count + 1,
-        slots=slots,
-    )
-    return ModelParams.from_flat(new_theta, params.layout), new_state
+    state.step_count += 1
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

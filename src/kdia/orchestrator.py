@@ -165,13 +165,16 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
                 cfg.batch_size,
                 seed=seed_for(state.master_seed, _TAG_SYNTH, t, k),
             )
-        updated, stats = trainer.local_update(
-            state.student,
-            state.teacher if cfg.teacher_enabled else None,
-            _client_batch_fn(state, t, int(k)),
-            train_cfg,
-            synth=synth,
-        )
+        try:
+            updated, stats = trainer.local_update(
+                state.student,
+                state.teacher if cfg.teacher_enabled else None,
+                _client_batch_fn(state, t, int(k)),
+                train_cfg,
+                synth=synth,
+            )
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"round {t}, client {k}, local update: {exc}") from exc
         updates.append(updated)
         all_stats.append(stats)
 
@@ -192,14 +195,23 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
             state.teacher, state.test_ds.features, state.test_ds.labels
         )
     if state.gen is not None:
-        state.gen, _ = generator.train_generator(
-            state.gen,
-            updates,
-            weights.student,
-            cfg.gen_config(),
-            cfg.n_classes,
-            seed=seed_for(state.master_seed, _TAG_GEN, t),
-        )
+        try:
+            state.gen, _ = generator.train_generator(
+                state.gen,
+                updates,
+                weights.student,
+                cfg.gen_config(),
+                cfg.n_classes,
+                seed=seed_for(state.master_seed, _TAG_GEN, t),
+            )
+        except ArithmeticError as exc:
+            # name the clients whose snapshot is non-finite; if every snapshot
+            # is finite the generator itself diverged against all of them
+            bad = [k for k, u in zip(selected, updates) if not np.isfinite(u.flat).all()]
+            ids = ", ".join(str(k) for k in (bad or selected))
+            raise ArithmeticError(
+                f"round {t}, client {ids}, server generator: {exc}"
+            ) from exc
     student_acc = trainer.evaluate(
         state.student, state.test_ds.features, state.test_ds.labels
     )
@@ -306,9 +318,7 @@ def fedavg_reference(
                 ):
                     logits = nn.forward(params, x)
                     _, grad = nn.softmax_ce_loss(logits, y)
-                    params, st = nn.optimizer_step(
-                        params, nn.backward(params, x, grad), st
-                    )
+                    nn.optimizer_step(params, nn.backward(params, x, grad), st)
             locals_.append(params)
         p = sizes[selected] / sizes[selected].sum()
         agg = [

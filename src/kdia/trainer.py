@@ -101,6 +101,8 @@ def local_update(
     )
     use_kd = teacher_params is not None and cfg.kd_weight > 0.0
     use_gen = synth is not None and cfg.gen_weight > 0.0
+    split = params.split_index
+    head = params.layers[split:]
     for epoch in range(cfg.local_epochs):
         real_batches = batch_fn(epoch)
         if not real_batches:
@@ -108,7 +110,7 @@ def local_update(
         if use_gen and not cfg.syn_per_batch:
             syn_x, syn_y = synth.draw()
         for x, y in real_batches:
-            logits = nn.forward(params, x)
+            logits, inputs = nn.forward_layers(params.layers, x)
             ce, grad_logits = nn.softmax_ce_loss(logits, y)
             kd = 0.0
             if use_kd:
@@ -121,23 +123,18 @@ def local_update(
                     cfg.kd_tau_squared,
                 )
                 grad_logits = grad_logits + kd_grad
-            grads = nn.backward(params, x, grad_logits)
+            grads = nn.backward_layers(params.layers, inputs, grad_logits)
             gen = 0.0
             if use_gen:
                 if cfg.syn_per_batch:
                     syn_x, syn_y = synth.draw()
-                syn_logits = nn.forward(params, syn_x, from_classifier_only=True)
+                syn_logits, syn_inputs = nn.forward_layers(head, syn_x, split)
                 gen_ce, gen_grad = nn.softmax_ce_loss(syn_logits, syn_y)
                 gen = cfg.gen_weight * gen_ce
-                cgrads = nn.backward(
-                    params,
-                    syn_x,
-                    cfg.gen_weight * gen_grad,
-                    from_classifier_only=True,
-                )
+                cgrads = nn.backward_layers(head, syn_inputs, cfg.gen_weight * gen_grad)
                 # the classifier layers are the tail of the flat vector
-                grads.flat[-cgrads.flat.size :] += cgrads.flat
-            params, state = nn.optimizer_step(params, grads, state)
+                grads[-cgrads.size :] += cgrads
+            nn.optimizer_step(params, grads, state)
             stats.ce.append(ce)
             stats.kd.append(kd)
             stats.gen.append(gen)

@@ -240,6 +240,7 @@ def test_06_label_pool_uniformity():
 # criterion 7: heterogeneity benefit
 
 
+@pytest.mark.slow
 def test_07_heterogeneity_benefit(benchmark_runs):
     runs, elapsed = benchmark_runs
     teacher_best, student_best, fedavg_best = [], [], []
@@ -263,6 +264,7 @@ def test_07_heterogeneity_benefit(benchmark_runs):
 # criterion 8: teacher convergence is smoother
 
 
+@pytest.mark.slow
 def test_08_teacher_smoothness(benchmark_runs):
     runs, _ = benchmark_runs
     smoother = 0
@@ -286,6 +288,7 @@ def test_08_teacher_smoothness(benchmark_runs):
 # criterion 9: weight-variance dynamics
 
 
+@pytest.mark.slow
 def test_09_variance_dynamics(benchmark_runs):
     runs, _ = benchmark_runs
     ok = True
@@ -307,6 +310,7 @@ def test_09_variance_dynamics(benchmark_runs):
 # criterion 10: byte-for-byte determinism
 
 
+@pytest.mark.slow
 def test_10_determinism(benchmark_runs, tmp_path):
     runs, _ = benchmark_runs
     seed, cfg, first_result, _ = runs[0]

@@ -41,7 +41,7 @@ class TestMakeBlobs:
             logits = nn.forward(probe, ds.features)
             _, grad = nn.softmax_ce_loss(logits, ds.labels)
             grads = nn.backward(probe, ds.features, grad)
-            probe, state = nn.optimizer_step(probe, grads, state)
+            nn.optimizer_step(probe, grads, state)
         preds = nn.forward(probe, ds.features).argmax(axis=1)
         assert (preds == ds.labels).mean() >= 0.95
 

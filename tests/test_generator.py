@@ -21,13 +21,19 @@ def small_cfg(**kw):
     return generator.GenTrainConfig(**base)
 
 
+def make_snapshot(seed, widths=(4, 6, 3)):
+    """A classifier snapshot with nonzero biases (initialization leaves them
+    zero, which would hide how the ensemble combines them)."""
+    model = make_random_model(seed, list(widths), 1)
+    rng = np.random.default_rng(seed)
+    for _, b in model.layers:
+        b[:] = rng.normal(size=b.shape)
+    return model
+
+
 def make_generator(seed, noise_dim=8, n_classes=3, feature_dim=6, hidden=16):
     rng = np.random.default_rng(seed)
     return generator.init_generator(noise_dim, n_classes, feature_dim, hidden, rng)
-
-
-def classifier_stacks(models):
-    return [m.layers[m.split_index :] for m in models]
 
 
 class TestLabelPool:
@@ -148,23 +154,100 @@ class TestDiversityLoss:
         assert not grad.any()
 
 
+def textbook_train(gen, snapshots, p, cfg, n_classes, seed):
+    """Independent oracle of ``train_generator``: per-snapshot logits and
+    their weighted sum, softmax cross-entropy, the diversity term, per-layer
+    backprop and Adam with per-step bias correction, all written out here.
+    Noise is drawn one epoch at a time. Returns the layers and loss traces."""
+    rng = np.random.default_rng(seed)
+    noise_dim = gen.input_width - n_classes
+    pool = generator.sample_label_pool(cfg.gen_epochs * cfg.gen_batches, n_classes, rng)
+    k_scale = 1.0 / len(snapshots) if cfg.eq3_literal else 1.0
+    (w1, b1), (w2, b2) = [(w.copy(), b.copy()) for w, b in gen.layers]
+    params = [w1, b1, w2, b2]
+    m = [np.zeros_like(a) for a in params]
+    v = [np.zeros_like(a) for a in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    n, half = cfg.batch_size, cfg.batch_size // 2
+    ce_trace, div_trace = [], []
+    t = 0
+    for _ in range(cfg.gen_epochs):
+        rng.shuffle(pool)
+        epoch_noise = rng.normal(size=(cfg.gen_batches * n, noise_dim))
+        for b in range(cfg.gen_batches):
+            labels = pool[np.arange(b * n, (b + 1) * n) % len(pool)]
+            noise = epoch_noise[b * n : (b + 1) * n]
+            one_hot = np.eye(n_classes)[labels]
+            x0 = np.hstack([noise, one_hot])
+            h_pre = x0 @ w1 + b1
+            h = np.maximum(h_pre, 0.0)
+            f_pre = h @ w2 + b2
+            feats = np.maximum(f_pre, 0.0)
+            heads = [s.layers[s.split_index] for s in snapshots]
+            logits = k_scale * sum(pk * (feats @ wk + bk) for (wk, bk), pk in zip(heads, p))
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            ce_trace.append(-(one_hot * log_probs).sum() / n)
+            g_logits = (np.exp(log_probs) - one_hot) / n
+            g_feats = k_scale * sum(pk * (g_logits @ wk.T) for (wk, _), pk in zip(heads, p))
+            e_gap = noise[:half] - noise[half : 2 * half]
+            z_gap = feats[:half] - feats[half : 2 * half]
+            num = np.linalg.norm(e_gap, axis=1)
+            z_norm = np.linalg.norm(z_gap, axis=1)
+            den = z_norm + cfg.diversity_epsilon
+            div_trace.append((num / den).mean())
+            g_z1 = (-num / (den**2 * z_norm * half))[:, None] * z_gap
+            g_feats[:half] += cfg.diversity_weight * g_z1
+            g_feats[half : 2 * half] -= cfg.diversity_weight * g_z1
+            g_f = g_feats * (f_pre > 0.0)
+            g_h = (g_f @ w2.T) * (h_pre > 0.0)
+            grads = [x0.T @ g_h, g_h.sum(axis=0), h.T @ g_f, g_f.sum(axis=0)]
+            t += 1
+            for a, g, ma, va in zip(params, grads, m, v):
+                g = g + cfg.weight_decay * a
+                ma[...] = beta1 * ma + (1.0 - beta1) * g
+                va[...] = beta2 * va + (1.0 - beta2) * g * g
+                m_hat = ma / (1.0 - beta1**t)
+                v_hat = va / (1.0 - beta2**t)
+                a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return [(w1, b1), (w2, b2)], np.array(ce_trace), np.array(div_trace)
+
+
 class TestTrainGenerator:
+    @pytest.mark.parametrize("eq3_literal", [False, True])
+    @pytest.mark.parametrize("epochs,batches", [(1, 1), (2, 3)])
+    def test_matches_textbook_oracle(self, eq3_literal, epochs, batches):
+        gen = make_generator(60, n_classes=3, feature_dim=6)
+        snaps = [make_snapshot(61 + k) for k in range(3)]
+        p = [0.5, 0.3, 0.2]
+        cfg = small_cfg(
+            gen_epochs=epochs, gen_batches=batches, weight_decay=1e-3,
+            diversity_weight=0.7, eq3_literal=eq3_literal,
+        )
+        out, trace = generator.train_generator(gen, snaps, p, cfg, 3, seed=5)
+        layers, ce, div = textbook_train(gen, snaps, p, cfg, 3, seed=5)
+        for (w, b), (ow, ob) in zip(layers, out.layers):
+            np.testing.assert_allclose(ow, w, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(ob, b, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace["ce"], ce, rtol=1e-12)
+        np.testing.assert_allclose(trace["diversity"], div, rtol=1e-12)
+
     def test_single_snapshot_ensemble_is_that_classifier(self):
-        model = make_random_model(21, [4, 6, 3], 1)
+        model = make_snapshot(21)
         rng = np.random.default_rng(5)
         feats = np.abs(rng.normal(size=(5, 6)))
         labels = rng.integers(0, 3, size=5)
-        ce, grad = generator.ensemble_ce(
-            feats, classifier_stacks([model]), [1.0], labels
-        )
+        w, b = generator.ensemble_head([model], [1.0])
+        assert np.array_equal(w, model.layers[1][0])
+        assert np.array_equal(b, model.layers[1][1])
+        ce, grad = generator.ensemble_ce(feats, (w, b), labels)
         logits = nn.forward(model, feats, from_classifier_only=True)
         direct_ce, grad_logits = nn.softmax_ce_loss(logits, labels)
-        direct = nn.backward(model, feats, grad_logits, from_classifier_only=True)
         assert ce == direct_ce
-        assert np.array_equal(grad, direct.input_grad)
+        assert np.array_equal(grad, grad_logits @ model.layers[1][0].T)
 
     def test_eq3_literal_rescales_only(self):
-        models = [make_random_model(22 + i, [4, 6, 3], 1) for i in range(2)]
+        models = [make_snapshot(22 + i) for i in range(2)]
         rng = np.random.default_rng(6)
         feats = np.abs(rng.normal(size=(5, 6)))
         labels = rng.integers(0, 3, size=5)
@@ -172,32 +255,49 @@ class TestTrainGenerator:
             w * nn.forward(m, feats, from_classifier_only=True)
             for m, w in zip(models, [0.4, 0.6])
         )
-        literal, _ = generator.ensemble_ce(
-            feats, classifier_stacks(models), [0.4, 0.6], labels, k_scale=0.5
-        )
+        head = generator.ensemble_head(models, [0.4, 0.6], k_scale=0.5)
+        literal, _ = generator.ensemble_ce(feats, head, labels)
         expect, _ = nn.softmax_ce_loss(plain / 2.0, labels)
         assert literal == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("k_scale", [1.0, 0.5])
     def test_ensemble_ce_feature_grad_matches_fd(self, k_scale):
-        # two snapshots whose classifier part has a ReLU hidden layer
-        stacks = classifier_stacks(
-            [make_random_model(26 + i, [4, 6, 5, 3], 1) for i in range(2)]
-        )
+        # three single-layer heads combined into one by ensemble_head
+        models = [make_snapshot(26 + i) for i in range(3)]
+        p = [0.2, 0.5, 0.3]
         rng = np.random.default_rng(28)
         feats = np.abs(rng.normal(size=(6, 6)))
         labels = rng.integers(0, 3, size=6)
-        p = [0.3, 0.7]
-        _, grad = generator.ensemble_ce(feats, stacks, p, labels, k_scale)
-        numeric = fd_array_grad(
-            lambda z: generator.ensemble_ce(z, stacks, p, labels, k_scale)[0], feats
-        )
+
+        def ensemble_loss(z):
+            # the definition: weighted sum of each snapshot's own logits
+            logits = k_scale * sum(
+                pk * nn.forward(m, z, from_classifier_only=True)
+                for m, pk in zip(models, p)
+            )
+            return nn.softmax_ce_loss(logits, labels)[0]
+
+        head = generator.ensemble_head(models, p, k_scale)
+        ce, grad = generator.ensemble_ce(feats, head, labels)
+        assert ce == pytest.approx(ensemble_loss(feats), rel=1e-13)
+        numeric = fd_array_grad(ensemble_loss, feats)
         assert max_relative_error(grad, numeric) < 1e-5
 
+    def test_deeper_head_rejected_naming_snapshot(self):
+        models = [make_random_model(30 + i, [4, 6, 3], 1) for i in range(2)]
+        models.append(make_random_model(32, [4, 6, 5, 3], 1))
+        with pytest.raises(ShapeError, match="snapshot 2"):
+            generator.ensemble_head(models, [0.3, 0.3, 0.4])
+
+    def test_mismatched_head_shapes_rejected(self):
+        models = [make_random_model(33, [4, 6, 3], 1), make_random_model(34, [4, 6, 4], 1)]
+        with pytest.raises(ShapeError, match="snapshot 1"):
+            generator.ensemble_head(models, [0.5, 0.5])
+
     def test_ensemble_weight_count_mismatch_rejected(self):
-        stacks = classifier_stacks([make_random_model(29, [4, 6, 3], 1)])
+        models = [make_random_model(29, [4, 6, 3], 1)]
         with pytest.raises(ParameterError):
-            generator.ensemble_ce(np.ones((2, 6)), stacks, [0.5, 0.5], [0, 1])
+            generator.ensemble_head(models, [0.5, 0.5])
 
     def test_zero_classifier_dead_gradient_constant_ce(self):
         gen = make_generator(23, n_classes=3, feature_dim=6)
@@ -233,7 +333,7 @@ class TestTrainGenerator:
         st = nn.sgd_state(clf, 0.5)
         for _ in range(100):
             _, g = nn.softmax_ce_loss(nn.forward(clf, x), y)
-            clf, st = nn.optimizer_step(clf, nn.backward(clf, x, g), st)
+            nn.optimizer_step(clf, nn.backward(clf, x, g), st)
         clf = nn.ModelParams(clf.layers, 0)  # whole model is the classifier
 
         improved = 0

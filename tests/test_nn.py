@@ -145,9 +145,8 @@ class TestBackward:
         params = make_random_model(5, [3, 5, 2], split_index=1)
         batch = np.random.default_rng(6).normal(size=(4, 3))
         grads = nn.backward(params, batch, np.zeros((4, 2)))
-        assert grads.flat.shape == params.flat.shape
-        assert not grads.flat.any()
-        assert not grads.input_grad.any()
+        assert grads.shape == params.flat.shape
+        assert not grads.any()
 
     def test_single_linear_layer_closed_form(self):
         # loss = sum of logits -> grad_logits = ones
@@ -156,9 +155,9 @@ class TestBackward:
         grads = nn.backward(params, batch, np.ones((5, 4)))
         # flat order: the row-major 3x4 weight, then the bias
         np.testing.assert_allclose(
-            grads.flat[:12].reshape(3, 4), batch.T @ np.ones((5, 4))
+            grads[:12].reshape(3, 4), batch.T @ np.ones((5, 4))
         )
-        np.testing.assert_allclose(grads.flat[12:], np.full(4, 5.0))
+        np.testing.assert_allclose(grads[12:], np.full(4, 5.0))
 
     @pytest.mark.parametrize(
         "widths,split",
@@ -183,25 +182,36 @@ class TestBackward:
         _, grad_logits = nn.softmax_ce_loss(nn.forward(params, batch), labels)
         analytic = nn.backward(params, batch, grad_logits)
         numeric = fd_model_grads(loss_fn, params, h=1e-5)
-        assert numeric.shape == analytic.flat.shape
-        assert max_relative_error(analytic.flat, numeric) < 1e-4
+        assert numeric.shape == analytic.shape
+        assert max_relative_error(analytic, numeric) < 1e-4
 
-    def test_classifier_only_input_grad_matches_fd(self):
-        params = make_random_model(17, [4, 6, 3], split_index=1)
+    def test_classifier_only_grads_match_fd_tail(self):
+        params = make_random_model(17, [4, 6, 5, 3], split_index=1)
         rng = np.random.default_rng(18)
         feats = np.abs(rng.normal(size=(5, 6)))
         labels = rng.integers(0, 3, size=5)
 
-        def loss_of_feats(z):
-            logits = nn.forward(params, z, from_classifier_only=True)
+        def loss_fn(p):
+            logits = nn.forward(p, feats, from_classifier_only=True)
             return nn.softmax_ce_loss(logits, labels)[0]
 
         logits = nn.forward(params, feats, from_classifier_only=True)
         _, grad_logits = nn.softmax_ce_loss(logits, labels)
         grads = nn.backward(params, feats, grad_logits, from_classifier_only=True)
-        assert grads.flat.size == 6 * 3 + 3  # the classifier layer only
-        numeric = fd_array_grad(loss_of_feats, feats)
-        assert max_relative_error(grads.input_grad, numeric) < 1e-5
+        n_head = 6 * 5 + 5 + 5 * 3 + 3  # the two classifier layers only
+        assert grads.shape == (n_head,)
+        numeric = fd_model_grads(loss_fn, params)
+        # the extractor takes no part, and the classifier is the flat tail
+        assert not numeric[:-n_head].any()
+        assert max_relative_error(grads, numeric[-n_head:]) < 1e-4
+
+    def test_non_finite_gradient_raises(self):
+        params = make_random_model(19, [3, 5, 2], split_index=1)
+        batch = np.random.default_rng(20).normal(size=(4, 3))
+        grad_logits = np.zeros((4, 2))
+        grad_logits[1, 0] = np.nan
+        with pytest.raises(ArithmeticError, match="backward"):
+            nn.backward(params, batch, grad_logits)
 
     def test_shape_mismatch_rejected(self):
         params = make_random_model(2, [3, 4], split_index=1)
@@ -212,24 +222,24 @@ class TestBackward:
 class TestOptimizerStep:
     def test_zero_gradient_no_op(self):
         params = make_random_model(41, [3, 4], split_index=1)
+        before = params.copy()
         state = nn.sgd_state(params, learning_rate=0.1)
-        zero = nn.Gradients(np.zeros_like(params.flat), np.zeros((1, 3)))
-        updated, _ = nn.optimizer_step(params, zero, state)
-        assert nn.params_equal(updated, params)
+        nn.optimizer_step(params, np.zeros_like(params.flat), state)
+        assert nn.params_equal(params, before)
 
     def test_single_sgd_step_scalar(self):
         params = nn.ModelParams([(np.array([[1.0]]), np.zeros(1))], 0)
         state = nn.sgd_state(params, learning_rate=0.1)
-        grads = nn.Gradients(np.array([1.0, 0.0]), np.zeros((1, 1)))
-        updated, _ = nn.optimizer_step(params, grads, state)
-        assert updated.layers[0][0][0, 0] == pytest.approx(0.9, abs=1e-15)
+        nn.optimizer_step(params, np.array([1.0, 0.0]), state)
+        assert params.layers[0][0][0, 0] == pytest.approx(0.9, abs=1e-15)
 
     def test_momentum_trajectory_matches_scalar_oracle(self):
+        # bit-equal: the in-place step keeps the oracle's operation order
         # minimize 0.5 * theta^2 from theta = 1 with eta=0.2, m=0.9, wd=0.01
         eta, mom, wd = 0.2, 0.9, 0.01
         theta, vel = 1.0, 0.0
         trajectory = []
-        for _ in range(3):
+        for _ in range(5):
             vel = mom * vel + theta + wd * theta
             theta = theta - eta * vel
             trajectory.append(theta)
@@ -238,29 +248,70 @@ class TestOptimizerStep:
         state = nn.sgd_state(params, eta, momentum=mom, weight_decay=wd)
         for expect in trajectory:
             g = np.array([params.layers[0][0][0, 0], 0.0])  # grad of 0.5 theta^2 is theta
-            grads = nn.Gradients(g, np.zeros((1, 1)))
-            params, state = nn.optimizer_step(params, grads, state)
-            assert params.layers[0][0][0, 0] == pytest.approx(expect, abs=1e-15)
+            nn.optimizer_step(params, g, state)
+            assert params.layers[0][0][0, 0] == expect
+
+    def test_adam_matches_textbook_bias_correction(self):
+        # per-step bias-corrected moments, as in the Adam paper
+        lr, b1, b2, eps, wd = 0.05, 0.9, 0.999, 1e-8, 0.01
+        theta = np.array([2.0, -0.5, 0.3])
+        m = np.zeros(3)
+        v = np.zeros(3)
+        params = nn.ModelParams([(theta.reshape(1, 3), np.zeros(3))], 0)
+        state = nn.adam_state(params, lr, weight_decay=wd)
+        for t in range(1, 51):
+            g = np.concatenate([np.sin(3.0 * theta), np.zeros(3)])
+            nn.optimizer_step(params, g, state)
+            gd = g[:3] + wd * theta
+            m = b1 * m + (1.0 - b1) * gd
+            v = b2 * v + (1.0 - b2) * gd**2
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_allclose(params.layers[0][0][0], theta, rtol=1e-12)
+        assert state.step_count == 50
 
     def test_adam_decreases_quadratic(self):
         params = nn.ModelParams([(np.array([[2.0]]), np.zeros(1))], 0)
         state = nn.adam_state(params, learning_rate=0.05)
         for _ in range(50):
             g = np.array([params.layers[0][0][0, 0], 0.0])
-            grads = nn.Gradients(g, np.zeros((1, 1)))
-            params, state = nn.optimizer_step(params, grads, state)
+            nn.optimizer_step(params, g, state)
         assert abs(params.layers[0][0][0, 0]) < 1.0
         assert state.step_count == 50
 
-    def test_inputs_not_mutated(self):
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_updates_only_what_it_is_given(self, kind):
         params = make_random_model(51, [3, 4], split_index=1)
+        other = params.copy()
         before = params.copy()
-        state = nn.sgd_state(params, 0.1, momentum=0.9)
-        grads = nn.Gradients(np.ones_like(params.flat), np.zeros((1, 3)))
+        if kind == "sgd":
+            state = nn.sgd_state(params, 0.1, momentum=0.9)
+        else:
+            state = nn.adam_state(params, 0.1)
+        other_state = nn.adam_state(other, 0.1)
+        flat, views = params.flat, params.layers
+        grads = np.linspace(-1.0, 1.0, params.flat.size)
+        grads_before = grads.copy()
         nn.optimizer_step(params, grads, state)
-        assert nn.params_equal(params, before)
-        assert not state.slots[0].any()
-        assert np.array_equal(grads.flat, np.ones_like(params.flat))
+        # the model's own vector and views moved, in place
+        assert params.flat is flat and params.layers is views
+        assert not np.array_equal(params.flat, before.flat)
+        assert np.array_equal(views[0][0].ravel(), flat[:12])
+        # every slot moved and the step was counted
+        assert all(slot.any() for slot in state.slots)
+        assert state.step_count == 1
+        # the gradient, a copy of the model and another state did not
+        assert np.array_equal(grads, grads_before)
+        assert nn.params_equal(other, before)
+        assert not any(slot.any() for slot in other_state.slots)
+        assert other_state.step_count == 0
+
+    def test_gradient_size_mismatch_rejected(self):
+        params = make_random_model(52, [3, 4], split_index=1)
+        state = nn.sgd_state(params, 0.1)
+        with pytest.raises(ShapeError):
+            nn.optimizer_step(params, np.zeros(params.flat.size - 1), state)
 
 
 class TestCheckpoint:

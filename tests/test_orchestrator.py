@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kdia import nn, orchestrator
+from kdia import nn, orchestrator, trainer
 from kdia.config import ExperimentConfig
 from kdia.errors import ConfigError
 
@@ -165,3 +165,37 @@ class TestRunExperiment:
         assert all(r.teacher_acc == 0.0 for r in result.metrics)
         assert all(r.loss_kd == 0.0 and r.loss_gen == 0.0 for r in result.metrics)
         assert result.final_model_kind == "student"
+
+
+class TestNonFiniteContext:
+    def test_nan_student_names_round_client_and_local_update(self):
+        cfg = tiny_cfg(rounds=1)
+        first = orchestrator.run_round(orchestrator.build_state(cfg, 0), 0).selected[0]
+        state = orchestrator.build_state(cfg, 0)
+        state.student.flat[0] = np.nan
+        with pytest.raises(
+            ArithmeticError, match=f"^round 0, client {first}, local update: forward"
+        ) as info:
+            orchestrator.run_round(state, 0)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_nan_snapshot_names_round_client_and_server_generator(self, monkeypatch):
+        # no teacher, so the generator is the first to read the snapshots
+        cfg = tiny_cfg(rounds=1, disable_kd=True)
+        second = orchestrator.run_round(orchestrator.build_state(cfg, 0), 0).selected[1]
+        real_update = trainer.local_update
+        calls = []
+
+        def update_with_nan_head(*args, **kwargs):
+            params, stats = real_update(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 2:
+                params.layers[params.split_index][0][0, 0] = np.nan
+            return params, stats
+
+        monkeypatch.setattr(trainer, "local_update", update_with_nan_head)
+        with pytest.raises(
+            ArithmeticError, match=f"^round 0, client {second}, server generator: forward"
+        ) as info:
+            orchestrator.run_round(orchestrator.build_state(cfg, 0), 0)
+        assert isinstance(info.value.__cause__, ArithmeticError)
