@@ -49,8 +49,7 @@ print(f"\nreference task model trained centrally; feature space is "
 gen = generator.init_generator(cfg.noise_dim, cfg.n_classes, cfg.feature_dim,
                                cfg.gen_hidden, np.random.default_rng(4))
 before = harness.feature_similarity(gen, reference, ds, seed=5)
-gen, trace = generator.train_generator(gen, [reference], [1.0],
-                                       cfg.gen_config(), cfg.n_classes, seed=6)
+gen, trace = generator.train_generator(gen, [reference], [1.0], cfg, seed=6)
 after = harness.feature_similarity(gen, reference, ds, seed=5)
 
 print(f"generator ensemble CE: {trace['ce'][:40].mean():.3f} (first epoch) -> "

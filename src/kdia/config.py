@@ -1,5 +1,7 @@
-"""Experiment configuration: defaults, a flat key=value file format, and
-typed overrides shared by the library API and the CLI.
+"""Experiment configuration: the one settings object that the round loop,
+the local trainer and the server generator all read, with its defaults, the
+range check of every key, a flat key=value file format, and typed overrides
+shared by the library API and the CLI.
 
 Only one environment variable is honored: ``KDIA_SEED`` replaces the seed
 list with a single master seed.
@@ -13,17 +15,35 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .freqs import WEIGHT_MODES
-from .generator import GenTrainConfig
-from .trainer import TrainConfig
 
 # generator-loss weight presets keyed by the Dirichlet concentration
 GEN_WEIGHT_BY_BETA = {0.1: 0.01, 0.5: 1.0, 5.0: 0.01}
 GEN_WEIGHT_FALLBACK = 0.01
 
+# the range of every numeric key, checked when a config is built
+_RANGES = (
+    (">= 1", lambda v: v >= 1, (
+        "n_classes", "samples_per_class", "d_in", "feature_dim", "gen_hidden",
+        "n_clients", "rounds", "batch_size", "gen_epochs", "gen_batches",
+        "gen_batch_size", "noise_dim",
+    )),
+    ("> 0", lambda v: v > 0, (
+        "spread", "beta", "learning_rate", "temperature", "diversity_epsilon",
+        "gen_learning_rate",
+    )),
+    (">= 0", lambda v: v >= 0, (
+        "separation", "part_floor", "local_epochs", "weight_decay", "kd_weight",
+        "diversity_weight", "gen_weight_decay",
+    )),
+)
+
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment settings with the protocol's reference defaults."""
+    """Flat experiment settings with the protocol's reference defaults.
+
+    Building one checks every key's range and raises ``ConfigError`` naming
+    the first key out of range."""
 
     # synthetic dataset
     n_classes: int = 10
@@ -70,59 +90,25 @@ class ExperimentConfig:
     seeds: tuple = (0, 1, 2)
 
     def __post_init__(self):
+        for rule, holds, keys in _RANGES:
+            for key in keys:
+                value = getattr(self, key)
+                if not holds(value):
+                    raise ConfigError(f"{key} must be {rule}, got {value!r}")
         if not 0.0 < self.sample_ratio <= 1.0:
             raise ConfigError(f"sample_ratio must be in (0, 1], got {self.sample_ratio}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.n_clients < 1:
-            raise ConfigError(f"n_clients must be >= 1, got {self.n_clients}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.mode not in WEIGHT_MODES:
             raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must be in (0, 1)")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        if self.gen_weight < 0.0 and self.gen_weight != -1.0:
+        if not (self.gen_weight >= 0.0 or self.gen_weight == -1.0):
             raise ConfigError(f"gen_weight must be >= 0, got {self.gen_weight}")
         if self.gen_weight == -1.0:
             self.gen_weight = GEN_WEIGHT_BY_BETA.get(self.beta, GEN_WEIGHT_FALLBACK)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            local_epochs=self.local_epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            kd_weight=0.0 if self.disable_kd else self.kd_weight,
-            gen_weight=0.0 if self.disable_gen else self.gen_weight,
-            temperature=self.temperature,
-            kd_tau_squared=self.kd_tau_squared,
-            syn_per_batch=self.syn_per_batch,
-        )
-
-    def gen_config(self) -> GenTrainConfig:
-        return GenTrainConfig(
-            gen_epochs=self.gen_epochs,
-            gen_batches=self.gen_batches,
-            batch_size=self.gen_batch_size,
-            diversity_weight=self.diversity_weight,
-            diversity_epsilon=self.diversity_epsilon,
-            learning_rate=self.gen_learning_rate,
-            weight_decay=self.gen_weight_decay,
-            eq3_literal=self.eq3_literal,
-        )
-
-    @property
-    def teacher_enabled(self) -> bool:
-        # the teacher exists to distill; without the KD term it is unused
-        return not self.disable_kd
-
-    @property
-    def generator_enabled(self) -> bool:
-        return not self.disable_gen
 
 
 def heterogeneity_benchmark_config(seeds=(0, 1, 2)) -> ExperimentConfig:
@@ -168,13 +154,6 @@ def _convert(key: str, raw: str):
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
-def apply_overrides(values: dict, overrides: dict) -> None:
-    for key, raw in overrides.items():
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _convert(key, raw) if isinstance(raw, str) else raw
-
-
 def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Resolve a config from an optional key=value file plus overrides.
 
@@ -195,8 +174,10 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
                 if key not in _FIELDS:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = _convert(key, raw)
-    if overrides:
-        apply_overrides(values, overrides)
+    for key, raw in (overrides or {}).items():
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = _convert(key, raw) if isinstance(raw, str) else raw
     env_seed = os.environ.get("KDIA_SEED")
     if env_seed is not None:
         try:

@@ -32,8 +32,6 @@ class Partition:
     """Per-client sample-index sets, disjoint by construction."""
 
     client_indices: list[np.ndarray]
-    beta: float
-    seed: int
 
     @property
     def n_clients(self) -> int:
@@ -149,7 +147,7 @@ def dirichlet_partition(
             donor = int(np.argmax([len(ix) for ix in client_indices]))
             client_indices[k] = client_indices[donor][:1]
             client_indices[donor] = client_indices[donor][1:]
-    return Partition(client_indices, beta, seed)
+    return Partition(client_indices)
 
 
 def batches(
@@ -177,28 +175,3 @@ def batches(
 def label_histogram(part: Partition, ds: Dataset, client_id: int) -> np.ndarray:
     ix = part.client_indices[client_id]
     return np.bincount(ds.labels[ix], minlength=ds.n_classes)
-
-
-def export_partition(part: Partition, path) -> None:
-    """Audit dump: one ``client_id: i1,i2,...`` line per client."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# beta={part.beta} seed={part.seed} clients={part.n_clients}\n")
-        for k, ix in enumerate(part.client_indices):
-            fh.write(f"{k}: {','.join(str(int(i)) for i in ix)}\n")
-
-
-def read_partition(path) -> list[np.ndarray]:
-    """Parse an export_partition file back into index arrays."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            _, _, rest = line.partition(":")
-            vals = rest.strip()
-            out.append(
-                np.array([int(v) for v in vals.split(",")], dtype=np.int64)
-                if vals
-                else np.empty(0, dtype=np.int64)
-            )
-    return out

@@ -12,7 +12,9 @@ Each classifier part is one dense layer, so the weighted ensemble of their
 logits is itself one dense layer. ``ensemble_head`` builds it once per
 ``train_generator`` call, and every step runs that single head forward and
 back. The loop trains a copy of the generator in place, reusing one input
-buffer and writing the loss traces into preallocated arrays.
+buffer and writing the loss traces into preallocated arrays. Its settings
+are the ``gen_*``, ``diversity_*`` and ``eq3_literal`` keys of the
+experiment's ``ExperimentConfig``, range-checked when that config was built.
 
 Clients use the same machinery with the generator frozen; clients with fewer
 samples than one batch get an enlarged pool so every local epoch sees fresh
@@ -21,33 +23,11 @@ synthetic rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn
+from .config import ExperimentConfig
 from .errors import ParameterError, ShapeError
-
-
-@dataclass
-class GenTrainConfig:
-    """Server-side generator training settings."""
-
-    gen_epochs: int = 10
-    gen_batches: int = 200
-    batch_size: int = 64
-    diversity_weight: float = 1.0
-    diversity_epsilon: float = 1e-5
-    learning_rate: float = 0.001
-    weight_decay: float = 1e-5
-    eq3_literal: bool = False
-
-    def __post_init__(self):
-        for name in ("gen_epochs", "gen_batches", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
-        if self.diversity_epsilon <= 0:
-            raise ParameterError("diversity_epsilon must be > 0")
 
 
 def sample_label_pool(length: int, n_classes: int, seed) -> np.ndarray:
@@ -169,17 +149,17 @@ def train_generator(
     gen: nn.ModelParams,
     classifier_snapshots,
     p,
-    cfg: GenTrainConfig,
-    n_classes: int,
+    cfg: ExperimentConfig,
     seed,
 ) -> tuple[nn.ModelParams, dict]:
     """Server loop: pre-sample the label pool, then for every epoch shuffle
-    it and run ``gen_batches`` Adam steps on the generator only.
+    it and run ``cfg.gen_batches`` Adam steps on the generator only.
 
-    Batches walk the shuffled pool with wraparound, draw fresh Gaussian noise,
-    and minimize ensemble cross-entropy plus the weighted diversity term.
-    ``gen`` and the classifier snapshots are never modified. Returns the
-    updated copy of the generator and per-step loss traces.
+    Batches of ``cfg.gen_batch_size`` walk the shuffled pool with wraparound,
+    draw fresh Gaussian noise, and minimize ensemble cross-entropy plus the
+    weighted diversity term. ``gen`` and the classifier snapshots are never
+    modified. Returns the updated copy of the generator and per-step loss
+    traces.
     """
     snapshots = list(classifier_snapshots)
     if not snapshots:
@@ -187,21 +167,22 @@ def train_generator(
     k_scale = 1.0 / len(snapshots) if cfg.eq3_literal else 1.0
     head = ensemble_head(snapshots, np.asarray(p, dtype=np.float64), k_scale)
     rng = np.random.default_rng(seed)
+    n_classes, batch_size = cfg.n_classes, cfg.gen_batch_size
     noise_dim = gen.input_width - n_classes
     steps = cfg.gen_epochs * cfg.gen_batches
     pool = sample_label_pool(steps, n_classes, rng)
     gen = gen.copy()
-    state = nn.adam_state(gen, cfg.learning_rate, cfg.weight_decay)
+    state = nn.adam_state(gen, cfg.gen_learning_rate, cfg.gen_weight_decay)
     ce_trace, div_trace = np.empty(steps), np.empty(steps)
     # one input buffer: the batch's noise, then its one-hot labels
-    stacked = np.zeros((cfg.batch_size, noise_dim + n_classes))
-    noise = np.empty((cfg.batch_size, noise_dim))
-    rows = np.arange(cfg.batch_size)
+    stacked = np.zeros((batch_size, noise_dim + n_classes))
+    noise = np.empty((batch_size, noise_dim))
+    rows = np.arange(batch_size)
     step = 0
     for _ in range(cfg.gen_epochs):
         rng.shuffle(pool)
         for b in range(cfg.gen_batches):
-            lo = b * cfg.batch_size
+            lo = b * batch_size
             labels = pool[(lo + rows) % len(pool)]
             # batch by batch, the same stream as one epoch-sized draw
             rng.standard_normal(out=noise)

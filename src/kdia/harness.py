@@ -77,26 +77,6 @@ def read_metrics(path):
     return records
 
 
-def quantize(records):
-    """Records as they read back after 6-decimal CSV quantization."""
-    out = []
-    for r in records:
-        vals = dataclasses.asdict(r)
-        for name in (
-            "student_acc",
-            "teacher_acc",
-            "loss_ce",
-            "loss_kd",
-            "loss_gen",
-            "var_f_intv",
-            "var_f_part",
-            "var_f_num",
-        ):
-            vals[name] = float(f"{vals[name]:.6f}")
-        out.append(orchestrator.RoundMetrics(**vals))
-    return out
-
-
 def sweep(base_cfg: ExperimentConfig, axis: str, values, out_dir) -> dict:
     """Run the base configuration across one axis with shared seeds.
 

@@ -100,10 +100,6 @@ class ModelParams:
     def input_width(self) -> int:
         return self.layers[0][0].shape[0]
 
-    @property
-    def output_width(self) -> int:
-        return self.layers[-1][0].shape[1]
-
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.flat.copy(), self.layout)
 
@@ -117,6 +113,8 @@ def he_uniform_init(
     widths: list[int], split_index: int, rng: np.random.Generator
 ) -> ModelParams:
     """He-uniform weights, zero biases. ``widths`` lists layer boundary sizes."""
+    if min(widths, default=1) < 1:
+        raise ShapeError(f"layer widths must be >= 1, got {list(widths)}")
     layers = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         limit = np.sqrt(6.0 / fan_in)

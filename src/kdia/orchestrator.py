@@ -106,23 +106,19 @@ def _setup(cfg: ExperimentConfig, master_seed: int):
 def build_state(cfg: ExperimentConfig, master_seed: int) -> FedState:
     """Materialize data, partition, and initial models for one master seed."""
     train_ds, test_ds, partition, student = _setup(cfg, master_seed)
-    teacher = student.copy() if cfg.teacher_enabled else None
-    registry = (
-        aggregate.ModelRegistry(student, cfg.n_clients)
-        if cfg.teacher_enabled
-        else None
-    )
-    gen = (
-        generator.init_generator(
+    # the teacher exists to distill; without the KD term it is unused
+    teacher = registry = gen = None
+    if not cfg.disable_kd:
+        teacher = student.copy()
+        registry = aggregate.ModelRegistry(student, cfg.n_clients)
+    if not cfg.disable_gen:
+        gen = generator.init_generator(
             cfg.noise_dim,
             cfg.n_classes,
             cfg.feature_dim,
             cfg.gen_hidden,
             rng_for(master_seed, _TAG_GEN_INIT),
         )
-        if cfg.generator_enabled
-        else None
-    )
     ledger = freqs.ClientLedger(partition.sizes())
     return FedState(
         cfg, master_seed, train_ds, test_ds, partition, ledger,
@@ -145,18 +141,30 @@ def _client_batch_fn(state: FedState, t: int, client_id: int):
     return batch_fn
 
 
+def _round_error(exc: ArithmeticError, t: int, phase: str, ids, rows) -> ArithmeticError:
+    """``exc`` reworded with the round, the phase and the clients among
+    ``ids`` whose parameter row in ``rows`` is non-finite; with every row
+    finite the phase failed on its own and no client is named."""
+    bad = [str(int(k)) for k, row in zip(ids, rows) if not np.isfinite(row).all()]
+    clients = f", client {', '.join(bad)}" if bad else ""
+    return ArithmeticError(f"round {t}{clients}, {phase}: {exc}")
+
+
 def run_round(state: FedState, t: int) -> RoundMetrics:
-    """One full communication round; mutates ``state`` in place."""
+    """One full communication round; mutates ``state`` in place.
+
+    A non-finite value in a local update, teacher or student evaluation or
+    generator training raises ``ArithmeticError`` naming the round, the
+    phase and the client(s) at fault, chained to the original error."""
     cfg = state.cfg
     selected = sample_clients(
         cfg.n_clients, cfg.sample_ratio, seed_for(state.master_seed, _TAG_SAMPLE, t)
     )
-    train_cfg = cfg.train_config()
     updates = []
     all_stats = []
     for k in selected:
         synth = None
-        if state.gen is not None and train_cfg.gen_weight > 0.0:
+        if state.gen is not None and cfg.gen_weight > 0.0:
             synth = generator.LocalSynthesizer(
                 state.gen,
                 cfg.n_classes,
@@ -168,9 +176,9 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
         try:
             updated, stats = trainer.local_update(
                 state.student,
-                state.teacher if cfg.teacher_enabled else None,
+                state.teacher,
                 _client_batch_fn(state, t, int(k)),
-                train_cfg,
+                cfg,
                 synth=synth,
             )
         except ArithmeticError as exc:
@@ -191,30 +199,35 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
     teacher_acc = 0.0
     if state.registry is not None:
         state.teacher = aggregate.aggregate_teacher(state.registry, weights.teacher)
-        teacher_acc = trainer.evaluate(
-            state.teacher, state.test_ds.features, state.test_ds.labels
-        )
+        try:
+            teacher_acc = trainer.evaluate(
+                state.teacher, state.test_ds.features, state.test_ds.labels
+            )
+        except ArithmeticError as exc:
+            raise _round_error(
+                exc, t, "teacher evaluation", range(cfg.n_clients), state.registry.stored
+            ) from exc
     if state.gen is not None:
         try:
             state.gen, _ = generator.train_generator(
                 state.gen,
                 updates,
                 weights.student,
-                cfg.gen_config(),
-                cfg.n_classes,
+                cfg,
                 seed=seed_for(state.master_seed, _TAG_GEN, t),
             )
         except ArithmeticError as exc:
-            # name the clients whose snapshot is non-finite; if every snapshot
-            # is finite the generator itself diverged against all of them
-            bad = [k for k, u in zip(selected, updates) if not np.isfinite(u.flat).all()]
-            ids = ", ".join(str(k) for k in (bad or selected))
-            raise ArithmeticError(
-                f"round {t}, client {ids}, server generator: {exc}"
+            raise _round_error(
+                exc, t, "server generator", selected, [u.flat for u in updates]
             ) from exc
-    student_acc = trainer.evaluate(
-        state.student, state.test_ds.features, state.test_ds.labels
-    )
+    try:
+        student_acc = trainer.evaluate(
+            state.student, state.test_ds.features, state.test_ds.labels
+        )
+    except ArithmeticError as exc:
+        raise _round_error(
+            exc, t, "student evaluation", selected, [u.flat for u in updates]
+        ) from exc
     steps = [v for s in all_stats for v in s.ce]
     kd_steps = [v for s in all_stats for v in s.kd]
     gen_steps = [v for s in all_stats for v in s.gen]

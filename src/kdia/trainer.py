@@ -6,6 +6,9 @@ the same batch supervises the student's tempered softmax; synthetic feature
 batches enter through the classifier-only path. By default one synthetic
 batch is drawn per epoch and reused across that epoch's real batches, with
 ``syn_per_batch`` available to resample per real batch instead.
+
+The settings are read from the experiment's ``ExperimentConfig`` by their
+key names; their ranges were checked when that config was built.
 """
 
 from __future__ import annotations
@@ -15,31 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .config import ExperimentConfig
 from .errors import ConfigError, ParameterError
-
-
-@dataclass
-class TrainConfig:
-    """Local-update hyperparameters."""
-
-    local_epochs: int = 10
-    batch_size: int = 64
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
-    kd_weight: float = 0.5
-    gen_weight: float = 0.01
-    temperature: float = 2.0
-    kd_tau_squared: bool = False
-    syn_per_batch: bool = False
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ParameterError("temperature must be > 0")
-        if self.kd_weight < 0 or self.gen_weight < 0:
-            raise ParameterError("loss weights must be >= 0")
-        if self.local_epochs < 0 or self.batch_size < 1:
-            raise ParameterError("bad epoch or batch count")
 
 
 @dataclass
@@ -82,15 +62,16 @@ def local_update(
     global_params: nn.ModelParams,
     teacher_params: nn.ModelParams | None,
     batch_fn,
-    cfg: TrainConfig,
+    cfg: ExperimentConfig,
     synth=None,
 ) -> tuple[nn.ModelParams, LocalStats]:
     """Run the local epochs and return the client's updated model.
 
     ``batch_fn(epoch)`` returns that epoch's list of real ``(features,
     labels)`` batches; ``synth`` (anything with ``draw()``) provides synthetic
-    feature batches and may be None. Teacher and generator are read-only
-    throughout.
+    feature batches and may be None. The KD term runs only with a teacher
+    and the generator term only with ``synth``, each when its weight in
+    ``cfg`` is positive. Teacher and generator are read-only throughout.
     """
     params = global_params.copy()
     stats = LocalStats()

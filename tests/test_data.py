@@ -154,13 +154,3 @@ class TestSplitAndExport:
         train, test = data.train_test_split(ds, 0.2, seed=1)
         assert len(train) == 400 and len(test) == 100
         assert (np.bincount(test.labels, minlength=5) == 20).all()
-
-    def test_partition_export_round_trip(self, tmp_path):
-        ds = data.make_blobs(3, 40, 4, spread=1.0, seed=41)
-        part = data.dirichlet_partition(ds, 5, beta=0.5, seed=2)
-        path = tmp_path / "partition.txt"
-        data.export_partition(part, path)
-        loaded = data.read_partition(path)
-        assert len(loaded) == 5
-        for a, b in zip(loaded, part.client_indices):
-            assert np.array_equal(a, b)

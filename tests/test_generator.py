@@ -5,20 +5,22 @@ import pytest
 
 from conftest import make_random_model
 from kdia import generator, nn
+from kdia.config import ExperimentConfig
 from kdia.errors import ParameterError, ShapeError
 from kdia.gradcheck import fd_array_grad, max_relative_error
 
 
 def small_cfg(**kw):
     base = dict(
+        n_classes=3,
         gen_epochs=2,
         gen_batches=10,
-        batch_size=16,
+        gen_batch_size=16,
         diversity_weight=1.0,
         diversity_epsilon=1e-5,
     )
     base.update(kw)
-    return generator.GenTrainConfig(**base)
+    return ExperimentConfig(**base)
 
 
 def make_snapshot(seed, widths=(4, 6, 3)):
@@ -154,12 +156,13 @@ class TestDiversityLoss:
         assert not grad.any()
 
 
-def textbook_train(gen, snapshots, p, cfg, n_classes, seed):
+def textbook_train(gen, snapshots, p, cfg, seed):
     """Independent oracle of ``train_generator``: per-snapshot logits and
     their weighted sum, softmax cross-entropy, the diversity term, per-layer
     backprop and Adam with per-step bias correction, all written out here.
     Noise is drawn one epoch at a time. Returns the layers and loss traces."""
     rng = np.random.default_rng(seed)
+    n_classes = cfg.n_classes
     noise_dim = gen.input_width - n_classes
     pool = generator.sample_label_pool(cfg.gen_epochs * cfg.gen_batches, n_classes, rng)
     k_scale = 1.0 / len(snapshots) if cfg.eq3_literal else 1.0
@@ -168,7 +171,7 @@ def textbook_train(gen, snapshots, p, cfg, n_classes, seed):
     m = [np.zeros_like(a) for a in params]
     v = [np.zeros_like(a) for a in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    n, half = cfg.batch_size, cfg.batch_size // 2
+    n, half = cfg.gen_batch_size, cfg.gen_batch_size // 2
     ce_trace, div_trace = [], []
     t = 0
     for _ in range(cfg.gen_epochs):
@@ -204,12 +207,12 @@ def textbook_train(gen, snapshots, p, cfg, n_classes, seed):
             grads = [x0.T @ g_h, g_h.sum(axis=0), h.T @ g_f, g_f.sum(axis=0)]
             t += 1
             for a, g, ma, va in zip(params, grads, m, v):
-                g = g + cfg.weight_decay * a
+                g = g + cfg.gen_weight_decay * a
                 ma[...] = beta1 * ma + (1.0 - beta1) * g
                 va[...] = beta2 * va + (1.0 - beta2) * g * g
                 m_hat = ma / (1.0 - beta1**t)
                 v_hat = va / (1.0 - beta2**t)
-                a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                a -= cfg.gen_learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return [(w1, b1), (w2, b2)], np.array(ce_trace), np.array(div_trace)
 
 
@@ -221,11 +224,11 @@ class TestTrainGenerator:
         snaps = [make_snapshot(61 + k) for k in range(3)]
         p = [0.5, 0.3, 0.2]
         cfg = small_cfg(
-            gen_epochs=epochs, gen_batches=batches, weight_decay=1e-3,
+            gen_epochs=epochs, gen_batches=batches, gen_weight_decay=1e-3,
             diversity_weight=0.7, eq3_literal=eq3_literal,
         )
-        out, trace = generator.train_generator(gen, snaps, p, cfg, 3, seed=5)
-        layers, ce, div = textbook_train(gen, snaps, p, cfg, 3, seed=5)
+        out, trace = generator.train_generator(gen, snaps, p, cfg, seed=5)
+        layers, ce, div = textbook_train(gen, snaps, p, cfg, seed=5)
         for (w, b), (ow, ob) in zip(layers, out.layers):
             np.testing.assert_allclose(ow, w, rtol=1e-12, atol=0)
             np.testing.assert_allclose(ob, b, rtol=1e-12, atol=0)
@@ -304,8 +307,8 @@ class TestTrainGenerator:
         dead = nn.ModelParams(
             [(np.zeros((4, 6)), np.zeros(6)), (np.zeros((6, 3)), np.zeros(3))], 1
         )
-        cfg = small_cfg(diversity_weight=0.0, weight_decay=0.0)
-        _, trace = generator.train_generator(gen, [dead], [1.0], cfg, 3, seed=0)
+        cfg = small_cfg(diversity_weight=0.0, gen_weight_decay=0.0)
+        _, trace = generator.train_generator(gen, [dead], [1.0], cfg, seed=0)
         np.testing.assert_allclose(trace["ce"], math.log(3.0), atol=1e-12)
 
     def test_snapshots_untouched_and_deterministic(self):
@@ -313,9 +316,9 @@ class TestTrainGenerator:
         snap = make_random_model(25, [4, 6, 3], 1)
         before = snap.copy()
         cfg = small_cfg()
-        out1, _ = generator.train_generator(gen, [snap], [1.0], cfg, 3, seed=7)
+        out1, _ = generator.train_generator(gen, [snap], [1.0], cfg, seed=7)
         assert nn.params_equal(snap, before)
-        out2, _ = generator.train_generator(gen, [snap], [1.0], cfg, 3, seed=7)
+        out2, _ = generator.train_generator(gen, [snap], [1.0], cfg, seed=7)
         assert nn.params_equal(out1, out2)
         # input generator itself untouched
         assert nn.params_equal(gen, make_generator(24, n_classes=3, feature_dim=6))
@@ -340,9 +343,9 @@ class TestTrainGenerator:
         for seed in range(3):
             gen = make_generator(40 + seed, n_classes=2, feature_dim=4)
             cfg = small_cfg(
-                gen_epochs=4, gen_batches=25, diversity_weight=0.1
+                n_classes=2, gen_epochs=4, gen_batches=25, diversity_weight=0.1
             )
-            _, trace = generator.train_generator(gen, [clf], [1.0], cfg, 2, seed)
+            _, trace = generator.train_generator(gen, [clf], [1.0], cfg, seed)
             first = trace["ce"][:25].mean()
             last = trace["ce"][-25:].mean()
             improved += last < first

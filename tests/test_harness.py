@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -69,6 +70,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="rounds"):
             parse_config(overrides={"rounds": "many"})
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n_classes", "0"), ("samples_per_class", "0"), ("d_in", "0"),
+            ("spread", "0"), ("separation", "-1"), ("feature_dim", "0"),
+            ("gen_hidden", "0"), ("part_floor", "-0.1"), ("local_epochs", "-1"),
+            ("batch_size", "0"), ("learning_rate", "0"), ("momentum", "1"),
+            ("weight_decay", "-1e-5"), ("kd_weight", "-0.5"), ("gen_weight", "nan"),
+            ("temperature", "0"), ("temperature", "nan"), ("gen_epochs", "0"),
+            ("gen_batches", "0"), ("gen_batch_size", "0"), ("noise_dim", "0"),
+            ("diversity_weight", "-1"), ("diversity_epsilon", "0"),
+            ("gen_learning_rate", "0"), ("gen_weight_decay", "-1e-5"),
+        ],
+    )
+    def test_out_of_range_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            parse_config(overrides={key: value})
+
 
 class TestMetricsCsv:
     def make_records(self):
@@ -89,7 +108,14 @@ class TestMetricsCsv:
         path = tmp_path / "m.csv"
         harness.write_metrics(records, path)
         loaded = harness.read_metrics(path)
-        assert loaded == harness.quantize(records)
+        # every float field reads back rounded to the file's 6 decimals
+        assert loaded == [
+            orchestrator.RoundMetrics(**{
+                k: round(v, 6) if isinstance(v, float) else v
+                for k, v in dataclasses.asdict(r).items()
+            })
+            for r in records
+        ]
 
     def test_six_decimal_floats(self, tmp_path):
         records = self.make_records()
@@ -274,6 +300,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") == 5
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--temperature", "--batch-size", "--gen-epochs", "--diversity-epsilon", "--feature-dim"],
+    )
+    def test_out_of_range_flag_exits_2_naming_key(self, tmp_path, capsys, flag):
+        rc = cli_main(
+            ["run", "--out-dir", str(tmp_path), "--rounds", "1", "--seeds", "0", flag, "0"]
+        )
+        assert rc == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

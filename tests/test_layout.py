@@ -1,6 +1,7 @@
 """Source-layout guards for the kdia package."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import typing
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from kdia import nn
+from kdia.config import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kdia"
@@ -58,6 +60,29 @@ def test_no_module_uses_another_modules_private_helpers():
         if (uses := private_cross_module_uses(path.read_text(encoding="utf-8")))
     }
     assert not offenders, offenders
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Names read as ``<expr>.name`` anywhere in ``source``."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_attribute_reads_sees_loads_only():
+    assert attribute_reads("x = cfg.a.b\ncfg.c = 1\n") == {"a", "b"}
+
+
+def test_every_config_key_is_read_outside_config():
+    # a key that only config.py reads would be parsed, checked and ignored
+    read = set().union(
+        *(attribute_reads(path.read_text(encoding="utf-8"))
+          for path in SRC.glob("*.py") if path.name != "config.py")
+    )
+    unread = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in read]
+    assert not unread, unread
 
 
 def perfbench_tables() -> dict:

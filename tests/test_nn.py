@@ -398,6 +398,8 @@ class TestModelParams:
             nn.ModelParams([], 0)
         with pytest.raises(ShapeError):
             nn.ModelParams([(np.zeros((3, 0)), np.zeros(0))], 1)
+        with pytest.raises(ShapeError, match="widths"):
+            nn.he_uniform_init([4, 0, 3], 1, np.random.default_rng(0))
 
     def test_copy_is_deep(self):
         params = make_random_model(71, [3, 4], split_index=1)

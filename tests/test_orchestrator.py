@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kdia import nn, orchestrator, trainer
+from kdia import generator, nn, orchestrator, trainer
 from kdia.config import ExperimentConfig
 from kdia.errors import ConfigError
 
@@ -199,3 +199,45 @@ class TestNonFiniteContext:
         ) as info:
             orchestrator.run_round(orchestrator.build_state(cfg, 0), 0)
         assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_poisoned_registry_row_names_round_client_and_teacher_evaluation(self):
+        cfg = tiny_cfg(rounds=1)
+        selected = orchestrator.run_round(orchestrator.build_state(cfg, 0), 0).selected
+        absent = max(set(range(cfg.n_clients)) - set(selected))
+        state = orchestrator.build_state(cfg, 0)
+        state.registry.stored[absent, 0] = np.inf
+        # its zero round-0 weight times inf is NaN in the teacher
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ArithmeticError, match=f"^round 0, client {absent}, teacher evaluation: forward"
+        ) as info:
+            orchestrator.run_round(state, 0)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_overflowed_update_names_round_client_and_student_evaluation(self, monkeypatch):
+        # no teacher and no generator, so evaluation is the first to read it
+        cfg = tiny_cfg(rounds=1, disable_kd=True, disable_gen=True)
+        third = orchestrator.run_round(orchestrator.build_state(cfg, 0), 0).selected[2]
+        real_update = trainer.local_update
+        calls = []
+
+        def update_with_inf(*args, **kwargs):
+            params, stats = real_update(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                params.flat[-1] = np.inf
+            return params, stats
+
+        monkeypatch.setattr(trainer, "local_update", update_with_inf)
+        with pytest.raises(
+            ArithmeticError, match=f"^round 0, client {third}, student evaluation: forward"
+        ) as info:
+            orchestrator.run_round(orchestrator.build_state(cfg, 0), 0)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_finite_snapshots_name_no_client(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise ArithmeticError("diverged")
+
+        monkeypatch.setattr(generator, "train_generator", diverge)
+        with pytest.raises(ArithmeticError, match="^round 0, server generator: diverged$"):
+            orchestrator.run_round(orchestrator.build_state(tiny_cfg(rounds=1), 0), 0)

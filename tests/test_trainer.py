@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_random_model
 from kdia import nn, trainer
+from kdia.config import ExperimentConfig
 from kdia.errors import ConfigError, ParameterError
 from kdia.gradcheck import fd_array_grad, max_relative_error
 
@@ -105,7 +106,7 @@ class TestLocalUpdate:
 
     def test_zero_weights_match_plain_fedavg_loop(self):
         x, y, model, _ = self.setup_inputs()
-        cfg = trainer.TrainConfig(
+        cfg = ExperimentConfig(
             local_epochs=3, kd_weight=0.0, gen_weight=0.0
         )
         ours, _ = trainer.local_update(model, None, fixed_batches(x, y), cfg)
@@ -121,7 +122,7 @@ class TestLocalUpdate:
 
     def test_zero_epochs_returns_global_unchanged(self):
         x, y, model, teacher = self.setup_inputs()
-        cfg = trainer.TrainConfig(local_epochs=0)
+        cfg = ExperimentConfig(local_epochs=0, gen_weight=0.01)
         out, stats = trainer.local_update(model, teacher, fixed_batches(x, y), cfg)
         assert nn.params_equal(out, model)
         assert stats.ce == stats.kd == stats.gen == []
@@ -136,7 +137,7 @@ class TestLocalUpdate:
         y = np.array([0])
         syn = StubSynth([[0.7]], [1])
         lam_kd, lam_gen, tau, eta, wd = 0.5, 0.25, 2.0, 0.1, 0.01
-        cfg = trainer.TrainConfig(
+        cfg = ExperimentConfig(
             local_epochs=1,
             learning_rate=eta,
             momentum=0.9,
@@ -182,7 +183,7 @@ class TestLocalUpdate:
         x, y, model, teacher = self.setup_inputs(7)
         teacher_before = teacher.copy()
         syn = StubSynth(np.abs(np.random.default_rng(8).normal(size=(4, 6))), [0, 1, 2, 0])
-        cfg = trainer.TrainConfig(local_epochs=2, gen_weight=0.1)
+        cfg = ExperimentConfig(local_epochs=2, gen_weight=0.1)
         trainer.local_update(model, teacher, fixed_batches(x, y), cfg, synth=syn)
         assert nn.params_equal(teacher, teacher_before)
 
@@ -192,7 +193,7 @@ class TestLocalUpdate:
         x_big = np.vstack([x, x])
         batch_fn = lambda epoch: [(x_big[:8], y_big[:8]), (x_big[8:], y_big[8:])]
         syn = StubSynth(np.abs(np.random.default_rng(10).normal(size=(4, 6))), [0, 1, 2, 0])
-        cfg = trainer.TrainConfig(local_epochs=3, gen_weight=0.1)
+        cfg = ExperimentConfig(local_epochs=3, gen_weight=0.1)
         trainer.local_update(model, teacher, batch_fn, cfg, synth=syn)
         assert syn.draws == 3
 
@@ -200,14 +201,14 @@ class TestLocalUpdate:
         x, y, model, teacher = self.setup_inputs(11)
         batch_fn = lambda epoch: [(x, y), (x, y)]
         syn = StubSynth(np.abs(np.random.default_rng(12).normal(size=(4, 6))), [0, 1, 2, 0])
-        cfg = trainer.TrainConfig(local_epochs=3, gen_weight=0.1, syn_per_batch=True)
+        cfg = ExperimentConfig(local_epochs=3, gen_weight=0.1, syn_per_batch=True)
         trainer.local_update(model, teacher, batch_fn, cfg, synth=syn)
         assert syn.draws == 6
 
     def test_deterministic(self):
         x, y, model, teacher = self.setup_inputs(13)
         syn_feats = np.abs(np.random.default_rng(14).normal(size=(4, 6)))
-        cfg = trainer.TrainConfig(local_epochs=2, gen_weight=0.3)
+        cfg = ExperimentConfig(local_epochs=2, gen_weight=0.3)
         a, _ = trainer.local_update(
             model, teacher, fixed_batches(x, y), cfg, synth=StubSynth(syn_feats, [0, 1, 2, 0])
         )
@@ -218,7 +219,7 @@ class TestLocalUpdate:
 
     def test_empty_batches_rejected(self):
         _, _, model, _ = self.setup_inputs(15)
-        cfg = trainer.TrainConfig(local_epochs=1)
+        cfg = ExperimentConfig(local_epochs=1, gen_weight=0.01)
         with pytest.raises(ConfigError):
             trainer.local_update(model, None, lambda epoch: [], cfg)
 
