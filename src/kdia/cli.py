@@ -14,7 +14,7 @@ import sys
 
 from . import gradcheck, harness, nn, orchestrator, trainer
 from .config import ExperimentConfig, parse_config
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -49,17 +49,15 @@ def _cmd_run(args) -> int:
 
             def hook(t, state, rec, _dir=ckpt_dir):
                 if (t + 1) % args.checkpoint_interval == 0:
-                    nn.save_checkpoint(
-                        state.student, os.path.join(_dir, f"student-{t:04d}.ckpt")
+                    models = (
+                        ("student", state.student),
+                        ("teacher", state.teacher),
+                        ("generator", state.gen),
                     )
-                    if state.teacher is not None:
-                        nn.save_checkpoint(
-                            state.teacher, os.path.join(_dir, f"teacher-{t:04d}.ckpt")
-                        )
-                    if state.gen is not None:
-                        nn.save_checkpoint(
-                            state.gen, os.path.join(_dir, f"generator-{t:04d}.ckpt")
-                        )
+                    for name, model in models:
+                        if model is not None:
+                            path = os.path.join(_dir, f"{name}-{t:04d}.ckpt")
+                            nn.save_checkpoint(model, path)
 
         result = orchestrator.run_experiment(cfg, seed, round_hook=hook)
         path = os.path.join(args.out_dir, f"run-seed{seed}.csv")
@@ -72,18 +70,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _typed_values(axis: str, raw: str):
-    parts = [v.strip() for v in raw.split(",") if v.strip()]
-    if axis == "N":
-        return [int(v) for v in parts]
-    if axis in ("C", "beta"):
-        return [float(v) for v in parts]
-    return parts
-
-
 def _cmd_sweep(args) -> int:
     cfg = _collect_config(args)
-    values = _typed_values(args.axis, args.values)
+    values = [v for v in args.values.split(",") if v.strip()]
     written = harness.sweep(cfg, args.axis, values, args.out_dir)
     for value, per_seed in written.items():
         for seed, path in per_seed.items():
@@ -126,18 +115,7 @@ def _cmd_fedavg_ref(args) -> int:
     for seed in cfg.seeds:
         run = orchestrator.fedavg_reference(cfg, seed)
         records = [
-            orchestrator.RoundMetrics(
-                round=t,
-                student_acc=acc,
-                teacher_acc=0.0,
-                loss_ce=0.0,
-                loss_kd=0.0,
-                loss_gen=0.0,
-                var_f_intv=0.0,
-                var_f_part=0.0,
-                var_f_num=0.0,
-                selected=sel,
-            )
+            orchestrator.RoundMetrics(t, acc, *[0.0] * 7, sel)
             for t, (acc, sel) in enumerate(zip(run.accuracies, run.selected_sets))
         ]
         path = os.path.join(args.out_dir, f"fedavg-seed{seed}.csv")
@@ -204,6 +182,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ProtocolError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,7 +1,8 @@
 """Experiment configuration: the one settings object that the round loop,
 the local trainer and the server generator all read, with its defaults, the
-range check of every key, a flat key=value file format, and typed overrides
-shared by the library API and the CLI.
+type and range check of every key, and a flat key=value file format. The
+field declarations are the only schema: text from a file, a CLI flag or a
+sweep is parsed by the declared type of its key when the config is built.
 
 Only one environment variable is honored: ``KDIA_SEED`` replaces the seed
 list with a single master seed.
@@ -37,13 +38,50 @@ _RANGES = (
     )),
 )
 
+_BOOL_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# per declared field type: what it is called, how its text is parsed, and
+# which other values already have it (an int passes for a float key)
+_TYPES = {
+    "int": ("an int", int, _is_int),
+    "float": ("a number", float, lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("a bool (true/false, yes/no, on/off, 1/0)",
+             lambda t: _BOOL_WORDS[t.lower()], lambda v: isinstance(v, bool)),
+    "str": ("text", str, lambda v: isinstance(v, str)),
+    # seeds, written as comma-separated ints
+    "tuple": ("a tuple of ints", lambda t: tuple(int(v) for v in t.split(",") if v.strip()),
+              lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
+}
+
+
+def _typed(key: str, kind: str, value):
+    """``value`` as the declared type ``kind``: text is parsed, any other
+    value must already have the type and is returned as given."""
+    name, parse, has_type = _TYPES[kind]
+    if isinstance(value, str):
+        try:
+            return parse(value.strip())
+        except (KeyError, ValueError):
+            pass
+    elif has_type(value):
+        return value
+    raise ConfigError(f"{key} must be {name}, got {value!r}")
+
 
 @dataclass
 class ExperimentConfig:
     """Flat experiment settings with the protocol's reference defaults.
 
-    Building one checks every key's range and raises ``ConfigError`` naming
-    the first key out of range."""
+    Building one brings every key to its declared type (text is parsed) and
+    checks its range; a failing key raises ``ConfigError`` naming it."""
 
     # synthetic dataset
     n_classes: int = 10
@@ -90,6 +128,8 @@ class ExperimentConfig:
     seeds: tuple = (0, 1, 2)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
         for rule, holds, keys in _RANGES:
             for key in keys:
                 value = getattr(self, key)
@@ -129,29 +169,7 @@ def heterogeneity_benchmark_config(seeds=(0, 1, 2)) -> ExperimentConfig:
     )
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-
-
-def _convert(key: str, raw: str):
-    f = _FIELDS[key]
-    text = raw.strip()
-    try:
-        if f.type in ("int",):
-            return int(text)
-        if f.type in ("float",):
-            return float(text)
-        if f.type in ("bool",):
-            low = text.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(text)
-        if key == "seeds":
-            return tuple(int(v) for v in text.split(",") if v.strip())
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -162,26 +180,30 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """
     values: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, raw = stripped.partition("=")
-                key = key.strip()
-                if key not in _FIELDS:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _convert(key, raw)
-    for key, raw in (overrides or {}).items():
-        if key not in _FIELDS:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text") from exc
+        for lineno, line in enumerate(lines, 1):
+            # everything after '#' is a comment
+            stripped = line.partition("#")[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key, _, raw = stripped.partition("=")
+            key = key.strip()
+            if key not in _KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = raw
+    for key, value in (overrides or {}).items():
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _convert(key, raw) if isinstance(raw, str) else raw
+        values[key] = value
     env_seed = os.environ.get("KDIA_SEED")
     if env_seed is not None:
-        try:
-            values["seeds"] = (int(env_seed),)
-        except ValueError as exc:
-            raise ConfigError(f"KDIA_SEED must be an integer, got {env_seed!r}") from exc
+        values["seeds"] = (_typed("KDIA_SEED", "int", env_seed),)
     return ExperimentConfig(**values)

@@ -11,14 +11,21 @@ import os
 
 import numpy as np
 
-from . import data, generator, nn, orchestrator
+from . import data, generator, nn, orchestrator, trainer
 from .config import ExperimentConfig
 from .errors import ConfigError
 
-METRICS_HEADER = (
-    "round,student_acc,teacher_acc,loss_ce,loss_kd,loss_gen,"
-    "var_f_intv,var_f_part,var_f_num,selected"
-)
+# the RoundMetrics fields are the columns; one text form per column type
+_COLUMNS = dataclasses.fields(orchestrator.RoundMetrics)
+_CELL = {  # declared type -> (write, read)
+    "int": (str, int),
+    "float": ("{:.6f}".format, float),
+    "list": (
+        lambda ids: ";".join(str(k) for k in ids),
+        lambda text: [int(v) for v in text.split(";")] if text else [],
+    ),
+}
+METRICS_HEADER = ",".join(f.name for f in _COLUMNS)
 
 SWEEP_AXES = {
     "N": "n_clients",
@@ -34,13 +41,8 @@ def write_metrics(records, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(METRICS_HEADER + "\n")
             for r in records:
-                sel = ";".join(str(k) for k in r.selected)
-                fh.write(
-                    f"{r.round},{r.student_acc:.6f},{r.teacher_acc:.6f},"
-                    f"{r.loss_ce:.6f},{r.loss_kd:.6f},{r.loss_gen:.6f},"
-                    f"{r.var_f_intv:.6f},{r.var_f_part:.6f},{r.var_f_num:.6f},"
-                    f"{sel}\n"
-                )
+                cells = (_CELL[f.type][0](getattr(r, f.name)) for f in _COLUMNS)
+                fh.write(",".join(cells) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
 
@@ -53,25 +55,13 @@ def read_metrics(path):
             header = fh.readline().rstrip("\n")
             if header != METRICS_HEADER:
                 raise ConfigError(f"{path}: unexpected metrics header")
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                if len(parts) != 10:
-                    raise ConfigError(f"{path}: malformed metrics row")
-                sel = [int(v) for v in parts[9].split(";")] if parts[9] else []
-                records.append(
-                    orchestrator.RoundMetrics(
-                        round=int(parts[0]),
-                        student_acc=float(parts[1]),
-                        teacher_acc=float(parts[2]),
-                        loss_ce=float(parts[3]),
-                        loss_kd=float(parts[4]),
-                        loss_gen=float(parts[5]),
-                        var_f_intv=float(parts[6]),
-                        var_f_part=float(parts[7]),
-                        var_f_num=float(parts[8]),
-                        selected=sel,
-                    )
-                )
+            for lineno, line in enumerate(fh, 2):
+                row = zip(_COLUMNS, line.rstrip("\n").split(","), strict=True)
+                try:
+                    values = [_CELL[f.type][1](cell) for f, cell in row]
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: malformed metrics row") from exc
+                records.append(orchestrator.RoundMetrics(*values))
     except OSError as exc:
         raise OSError(f"cannot read metrics from {path}: {exc}") from exc
     return records
@@ -89,12 +79,12 @@ def sweep(base_cfg: ExperimentConfig, axis: str, values, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     field = SWEEP_AXES[axis]
     written: dict = {}
-    for value in values:
-        cfg_kwargs = dataclasses.asdict(base_cfg)
-        cfg_kwargs[field] = value
+    for raw in values:
+        changes = {field: raw}
         if field == "beta":
-            cfg_kwargs["gen_weight"] = -1.0  # re-resolve the per-beta preset
-        cfg = ExperimentConfig(**cfg_kwargs)
+            changes["gen_weight"] = -1.0  # re-resolve the per-beta preset
+        cfg = dataclasses.replace(base_cfg, **changes)
+        value = getattr(cfg, field)
         written[value] = {}
         for i, seed in enumerate(cfg.seeds):
             result = orchestrator.run_experiment(cfg, seed)
@@ -108,19 +98,19 @@ def sweep(base_cfg: ExperimentConfig, axis: str, values, out_dir) -> dict:
 def train_centralized_reference(
     ds: data.Dataset, cfg: ExperimentConfig, seed, epochs: int = 100
 ) -> nn.ModelParams:
-    """Oracle model trained on the pooled dataset, for similarity analysis."""
+    """Oracle model trained on the pooled dataset, for similarity analysis:
+    ``trainer.local_update`` with no teacher or generator, one permutation
+    of every row per epoch."""
     rng = np.random.default_rng(seed)
     model = nn.he_uniform_init([cfg.d_in, cfg.feature_dim, cfg.n_classes], 1, rng)
-    state = nn.sgd_state(model, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-    n = len(ds)
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            ix = order[lo : lo + cfg.batch_size]
-            x, y = ds.features[ix], ds.labels[ix]
-            _, grad = nn.softmax_ce_loss(nn.forward(model, x), y)
-            nn.optimizer_step(model, nn.backward(model, x, grad), state)
-    return model
+
+    def batch_fn(epoch):
+        order = rng.permutation(len(ds))
+        chunks = np.split(order, range(cfg.batch_size, len(ds), cfg.batch_size))
+        return [(ds.features[ix], ds.labels[ix]) for ix in chunks]
+
+    reference_cfg = dataclasses.replace(cfg, local_epochs=epochs)
+    return trainer.local_update(model, None, batch_fn, reference_cfg)[0]
 
 
 def mean_cosine(real: np.ndarray, generated: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from kdia.cli import main as cli_main
 from kdia.config import ExperimentConfig, parse_config
 from kdia.errors import ConfigError
 from test_orchestrator import tiny_cfg
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestParseConfig:
@@ -53,13 +57,15 @@ class TestParseConfig:
     def test_file_parsing_with_comments(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text(
-            "# experiment\nn_clients = 20\nbeta = 0.1\nseeds = 3,4\n\nmode = tri-am\n"
+            "# experiment\nn_clients = 20\nbeta = 0.1  # severe\nseeds = 3,4\n\n"
+            "mode = tri-am#x\ndisable_gen = yes  # = no\n"
         )
         cfg = parse_config(path)
         assert cfg.n_clients == 20
         assert cfg.beta == 0.1
         assert cfg.seeds == (3, 4)
         assert cfg.mode == "tri-am"
+        assert cfg.disable_gen is True
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("KDIA_SEED", "99")
@@ -69,6 +75,32 @@ class TestParseConfig:
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="rounds"):
             parse_config(overrides={"rounds": "many"})
+
+    def test_readme_config_example_parses(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        path = tmp_path / "experiment.cfg"
+        path.write_text(block)
+        cfg = parse_config(path)
+        assert (cfg.n_clients, cfg.rounds, cfg.mode, cfg.seeds) == (100, 200, "tri-gm", (0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("rounds", 5.0), ("seeds", (1.5,)), ("beta", True), ("disable_gen", 1),
+         ("seeds", [0]), ("mode", 3), ("rounds", True), ("disable_gen", "maybe")],
+    )
+    def test_value_of_wrong_type_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ExperimentConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key,value,expect",
+        [("disable_gen", "no", False), ("disable_gen", " On ", True), ("rounds", "5", 5),
+         ("beta", "0.1", 0.1), ("seeds", "4, 5,", (4, 5)), ("mode", " num ", "num"),
+         ("beta", 1, 1), ("sample_ratio", 0.25, 0.25)],
+    )
+    def test_text_parsed_and_typed_values_kept(self, key, value, expect):
+        got = getattr(ExperimentConfig(**{key: value}), key)
+        assert got == expect and type(got) is type(expect)
 
     @pytest.mark.parametrize(
         "key,value",
@@ -138,6 +170,15 @@ class TestMetricsCsv:
         with pytest.raises(OSError, match="no/such/dir"):
             harness.write_metrics([], "no/such/dir/m.csv")
 
+    @pytest.mark.parametrize(
+        "row", ["0,0.5,0.5,0,0,0,0,0,0", "0,0.5,0.5,0,0,0,0,0,0,1,2", "0,x,0.5,0,0,0,0,0,0,1"]
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{harness.METRICS_HEADER}\n0,0.5,0.5,0,0,0,0,0,0,1;2\n{row}\n")
+        with pytest.raises(ConfigError, match=r"m\.csv:3: malformed"):
+            harness.read_metrics(path)
+
 
 class TestSweep:
     def test_sweep_writes_one_file_per_value(self, tmp_path):
@@ -160,6 +201,13 @@ class TestSweep:
     def test_bad_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             harness.sweep(tiny_cfg(), "gamma", [1], tmp_path)
+
+    def test_text_values_name_files_by_typed_value(self, tmp_path):
+        cfg = tiny_cfg(rounds=1, seeds=(0,), disable_gen=True)
+        written = harness.sweep(cfg, "C", ["0.50", " 1"], tmp_path)
+        assert {v: os.path.basename(p[0]) for v, p in written.items()} == {
+            0.5: "C=0.5.csv", 1.0: "C=1.0.csv"
+        }
 
 
 class TestVarianceTrack:
@@ -188,6 +236,31 @@ class TestVarianceTrack:
                 ledger.record_round(rng.choice(40, size=4, replace=False), t)
                 series.append(ledger.participation_freqs().var())
             assert series[119] <= series[20]
+
+
+class TestCentralizedReference:
+    @staticmethod
+    def textbook_train(ds, cfg, seed, epochs):
+        # plain minibatch SGD over a fresh permutation of every row per epoch
+        rng = np.random.default_rng(seed)
+        model = nn.he_uniform_init([cfg.d_in, cfg.feature_dim, cfg.n_classes], 1, rng)
+        state = nn.sgd_state(model, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+        for _ in range(epochs):
+            order = rng.permutation(len(ds))
+            for lo in range(0, len(ds), cfg.batch_size):
+                ix = order[lo : lo + cfg.batch_size]
+                x, y = ds.features[ix], ds.labels[ix]
+                _, grad = nn.softmax_ce_loss(nn.forward(model, x), y)
+                nn.optimizer_step(model, nn.backward(model, x, grad), state)
+        return model
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_matches_textbook_sgd_bitwise(self, epochs):
+        cfg = tiny_cfg(batch_size=7)
+        ds = data.make_blobs(cfg.n_classes, 20, cfg.d_in, spread=1.0, seed=1)
+        got = harness.train_centralized_reference(ds, cfg, seed=4, epochs=epochs)
+        want = self.textbook_train(ds, cfg, 4, epochs)
+        assert got.flat.tobytes() == want.flat.tobytes()
 
 
 class TestFeatureSimilarity:
@@ -311,6 +384,24 @@ class TestCli:
         )
         assert rc == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["run", "--config", "{tmp}/missing.cfg"], "missing.cfg"),
+            (["run", "--config", "{tmp}/junk.ckpt"], "junk.ckpt"),
+            (["similarity", "--gen-checkpoint", "{tmp}/junk.ckpt", "--reference-epochs", "0",
+              "--samples-per-class", "20", "--n-clients", "4", "--seeds", "0"], "junk.ckpt"),
+            (["sweep", "--axis", "C", "--values", "x", "--out-dir", "{tmp}"], "sample_ratio"),
+            (["sweep", "--axis", "N", "--values", "2.5", "--out-dir", "{tmp}"], "n_clients"),
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
+        (tmp_path / "junk.ckpt").write_bytes(b"\xffnot a checkpoint")
+        rc = cli_main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and named in err
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
