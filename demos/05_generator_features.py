@@ -1,10 +1,11 @@
 """Conditional feature generation and the pre-sampled label pool.
 
 The server trains a generator that maps (Gaussian noise, class label) to
-classifier-input features against the frozen classifiers of participating
-clients. Labels are drawn into a pool up front and reshuffled each epoch:
-longer pools sit closer to a uniform class mix than independent per-batch
-draws, which is the point of pre-sampling. Small clients get their pool
+classifier-input features against the classifier head of the participating
+clients' aggregate, which is their weighted ensemble. Labels are drawn into
+a pool up front and reshuffled each epoch: longer pools sit closer to a
+uniform class mix than independent per-batch draws, which is the point of
+pre-sampling. Small clients get their pool
 enlarged so every local epoch sees fresh synthetic rows.
 """
 
@@ -49,7 +50,8 @@ print(f"\nreference task model trained centrally; feature space is "
 gen = generator.init_generator(cfg.noise_dim, cfg.n_classes, cfg.feature_dim,
                                cfg.gen_hidden, np.random.default_rng(4))
 before = harness.feature_similarity(gen, reference, ds, seed=5)
-gen, trace = generator.train_generator(gen, [reference], [1.0], cfg, seed=6)
+# one participant: the reference is its own aggregate
+gen, trace = generator.train_generator(gen, reference, 1, cfg, seed=6)
 after = harness.feature_similarity(gen, reference, ds, seed=5)
 
 print(f"generator ensemble CE: {trace['ce'][:40].mean():.3f} (first epoch) -> "

@@ -82,6 +82,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_similarity(args) -> int:
     cfg = _collect_config(args)
+    if args.reference_epochs < 0:
+        raise ConfigError(f"--reference-epochs must be >= 0, got {args.reference_epochs}")
+    gen = nn.load_checkpoint(args.gen_checkpoint) if args.gen_checkpoint else None
+    expected = (cfg.noise_dim + cfg.n_classes, cfg.feature_dim)
+    if gen is not None and (gen.input_width, gen.layers[-1][0].shape[1]) != expected:
+        raise ConfigError(
+            f"{args.gen_checkpoint}: maps {gen.input_width} -> {gen.layers[-1][0].shape[1]}, "
+            f"not noise_dim + n_classes = {expected[0]} -> feature_dim = {expected[1]}"
+        )
     seed = cfg.seeds[0]
     state = orchestrator.build_state(cfg, seed)
     # reference is trained centrally on the pooled training split
@@ -89,9 +98,7 @@ def _cmd_similarity(args) -> int:
         state.train_ds, cfg, seed=seed, epochs=args.reference_epochs
     )
     ref_acc = trainer.evaluate(reference, state.test_ds.features, state.test_ds.labels)
-    if args.gen_checkpoint:
-        gen = nn.load_checkpoint(args.gen_checkpoint)
-    else:
+    if gen is None:
         result = orchestrator.run_experiment(cfg, seed)
         gen = result.state.gen
         if gen is None:
@@ -107,6 +114,12 @@ def _cmd_similarity(args) -> int:
                 fh.write(f"{c},{s:.6f}\n")
         print(f"wrote {args.out}")
     return 0
+
+
+def _cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    return gradcheck.report(args.instances, args.seed)
 
 
 def _cmd_fedavg_ref(args) -> int:
@@ -165,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     grad_p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     grad_p.add_argument("--instances", type=int, default=50)
     grad_p.add_argument("--seed", type=int, default=0)
-    grad_p.set_defaults(func=lambda args: gradcheck.report(args.instances, args.seed))
+    grad_p.set_defaults(func=_cmd_gradcheck)
 
     ref_p = sub.add_parser("fedavg-ref", help="plain FedAvg reference run")
     ref_p.add_argument("--config", default=None)

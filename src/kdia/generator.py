@@ -8,9 +8,9 @@ noise draws toward distinct features. Labels are pre-sampled into a pool and
 reshuffled every epoch rather than drawn per batch, which keeps the overall
 label mix close to uniform.
 
-Each classifier part is one dense layer, so the weighted ensemble of their
-logits is itself one dense layer. ``ensemble_head`` builds it once per
-``train_generator`` call, and every step runs that single head forward and
+Each classifier part is one dense layer, and the ensemble weights are the
+student's aggregation weights, so the ensemble's logits are those of the
+student aggregate's classifier head: every step runs that head forward and
 back. The loop trains a copy of the generator in place, reusing one input
 buffer and writing the loss traces into preallocated arrays. Its settings
 are the ``gen_*``, ``diversity_*`` and ``eq3_literal`` keys of the
@@ -106,66 +106,33 @@ def diversity_loss(
     return loss, grad
 
 
-def ensemble_head(snapshots, p, k_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """The weighted ensemble of the snapshots' classifier parts as one dense
-    layer ``(w, b)``: ``w = k_scale * sum_k p_k * w_k``, and ``b`` likewise.
-
-    Its logits equal ``k_scale * sum_k p_k * logits_k`` up to rounding,
-    because each classifier part is a single linear layer; a deeper one
-    raises ``ShapeError``. ``k_scale`` is 1/K for the literal Eq. 3 form and
-    1 otherwise, and only rescales the pre-softmax logits.
-    """
-    if not snapshots or len(snapshots) != len(p):
-        raise ParameterError(
-            f"{len(snapshots)} classifier snapshots for {len(p)} ensemble weights"
-        )
-    w = b = 0.0
-    for k, (snap, weight) in enumerate(zip(snapshots, p)):
-        head = snap.layers[snap.split_index :]
-        if len(head) != 1:
-            raise ShapeError(
-                f"snapshot {k}: classifier part has {len(head)} layers, "
-                "the ensemble head needs exactly one"
-            )
-        ((wk, bk),) = head
-        if k > 0 and wk.shape != w.shape:
-            raise ShapeError(f"snapshot {k}: classifier weight {wk.shape} != {w.shape}")
-        w = w + weight * wk
-        b = b + weight * bk
-    return k_scale * w, k_scale * b
-
-
-def ensemble_ce(
-    feats: np.ndarray, head: tuple[np.ndarray, np.ndarray], labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy of the ensemble ``head`` (from ``ensemble_head``) on
-    generated features, and its exact gradient with respect to ``feats``."""
-    logits, _ = nn.forward_layers([head], feats)
-    ce, grad_logits = nn.softmax_ce_loss(logits, labels)
-    return ce, grad_logits @ head[0].T
-
-
 def train_generator(
     gen: nn.ModelParams,
-    classifier_snapshots,
-    p,
+    classifier: nn.ModelParams,
+    n_participants: int,
     cfg: ExperimentConfig,
     seed,
 ) -> tuple[nn.ModelParams, dict]:
     """Server loop: pre-sample the label pool, then for every epoch shuffle
     it and run ``cfg.gen_batches`` Adam steps on the generator only.
 
+    ``classifier`` is the student aggregate of ``n_participants`` client
+    updates. Its head must be one dense layer (else ``ShapeError``), whose
+    logits the literal Eq. 3 form scales by 1/``n_participants``.
+
     Batches of ``cfg.gen_batch_size`` walk the shuffled pool with wraparound,
     draw fresh Gaussian noise, and minimize ensemble cross-entropy plus the
-    weighted diversity term. ``gen`` and the classifier snapshots are never
-    modified. Returns the updated copy of the generator and per-step loss
-    traces.
+    weighted diversity term. ``gen`` and ``classifier`` are never modified.
+    Returns the updated copy of the generator and per-step loss traces.
     """
-    snapshots = list(classifier_snapshots)
-    if not snapshots:
-        raise ParameterError("need at least one classifier snapshot")
-    k_scale = 1.0 / len(snapshots) if cfg.eq3_literal else 1.0
-    head = ensemble_head(snapshots, np.asarray(p, dtype=np.float64), k_scale)
+    if n_participants < 1:
+        raise ParameterError(f"need at least one participant, got {n_participants}")
+    head = classifier.layers[classifier.split_index :]
+    if len(head) != 1:
+        raise ShapeError(f"classifier part has {len(head)} layers, the ensemble needs one")
+    ((w, b),) = head
+    k_scale = 1.0 / n_participants if cfg.eq3_literal else 1.0
+    w, b = k_scale * w, k_scale * b
     rng = np.random.default_rng(seed)
     n_classes, batch_size = cfg.n_classes, cfg.gen_batch_size
     noise_dim = gen.input_width - n_classes
@@ -181,9 +148,8 @@ def train_generator(
     step = 0
     for _ in range(cfg.gen_epochs):
         rng.shuffle(pool)
-        for b in range(cfg.gen_batches):
-            lo = b * batch_size
-            labels = pool[(lo + rows) % len(pool)]
+        for batch in range(cfg.gen_batches):
+            labels = pool[(batch * batch_size + rows) % len(pool)]
             # batch by batch, the same stream as one epoch-sized draw
             rng.standard_normal(out=noise)
             stacked[:, :noise_dim] = noise
@@ -191,7 +157,9 @@ def train_generator(
             stacked[rows, noise_dim + labels] = 1.0
             pre, gen_inputs = nn.forward_layers(gen.layers, stacked)
             feats = np.maximum(pre, 0.0)
-            ce, grad_feats = ensemble_ce(feats, head, labels)
+            logits, _ = nn.forward_layers([(w, b)], feats)
+            ce, grad_logits = nn.softmax_ce_loss(logits, labels)
+            grad_feats = grad_logits @ w.T
             div, grad_div = diversity_loss(noise, feats, cfg.diversity_epsilon)
             grad_feats += cfg.diversity_weight * grad_div
             grad_feats *= pre > 0.0

@@ -377,9 +377,12 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Read a ``save_checkpoint`` file. A blob that is not exactly one raises
-    ``ProtocolError`` naming ``path``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    ``ProtocolError`` naming ``path``, and so does a file that cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ProtocolError(f"{path}: {exc.strerror}") from exc
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise ProtocolError(f"{path}: bad checkpoint magic")
     pos = len(CHECKPOINT_MAGIC)

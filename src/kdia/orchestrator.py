@@ -211,8 +211,8 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
         try:
             state.gen, _ = generator.train_generator(
                 state.gen,
-                updates,
-                weights.student,
+                state.student,
+                len(updates),
                 cfg,
                 seed=seed_for(state.master_seed, _TAG_GEN, t),
             )

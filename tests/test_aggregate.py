@@ -116,6 +116,11 @@ class TestWeightedAggregate:
         with pytest.raises(ShapeError):
             aggregate.weighted_aggregate(models, [1.0])
 
+    def test_architecture_mismatch_rejected(self):
+        models = [make_random_model(33, [4, 6, 3], 1), make_random_model(34, [4, 6, 4], 1)]
+        with pytest.raises(ShapeError):
+            aggregate.weighted_aggregate(models, [0.5, 0.5])
+
     def test_inputs_not_mutated(self):
         models = [make_random_model(30 + i, [2, 3], 1) for i in range(3)]
         before = [m.copy() for m in models]

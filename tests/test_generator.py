@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
-from kdia import generator, nn
+from kdia import aggregate, generator, nn
 from kdia.config import ExperimentConfig
 from kdia.errors import ParameterError, ShapeError
 from kdia.gradcheck import fd_array_grad, max_relative_error
@@ -227,7 +227,8 @@ class TestTrainGenerator:
             gen_epochs=epochs, gen_batches=batches, gen_weight_decay=1e-3,
             diversity_weight=0.7, eq3_literal=eq3_literal,
         )
-        out, trace = generator.train_generator(gen, snaps, p, cfg, seed=5)
+        student = aggregate.aggregate_student(snaps, p)
+        out, trace = generator.train_generator(gen, student, len(snaps), cfg, seed=5)
         layers, ce, div = textbook_train(gen, snaps, p, cfg, seed=5)
         for (w, b), (ow, ob) in zip(layers, out.layers):
             np.testing.assert_allclose(ow, w, rtol=1e-12, atol=0)
@@ -235,72 +236,28 @@ class TestTrainGenerator:
         np.testing.assert_allclose(trace["ce"], ce, rtol=1e-12)
         np.testing.assert_allclose(trace["diversity"], div, rtol=1e-12)
 
-    def test_single_snapshot_ensemble_is_that_classifier(self):
-        model = make_snapshot(21)
-        rng = np.random.default_rng(5)
-        feats = np.abs(rng.normal(size=(5, 6)))
-        labels = rng.integers(0, 3, size=5)
-        w, b = generator.ensemble_head([model], [1.0])
-        assert np.array_equal(w, model.layers[1][0])
-        assert np.array_equal(b, model.layers[1][1])
-        ce, grad = generator.ensemble_ce(feats, (w, b), labels)
-        logits = nn.forward(model, feats, from_classifier_only=True)
-        direct_ce, grad_logits = nn.softmax_ce_loss(logits, labels)
-        assert ce == direct_ce
-        assert np.array_equal(grad, grad_logits @ model.layers[1][0].T)
-
     def test_eq3_literal_rescales_only(self):
-        models = [make_snapshot(22 + i) for i in range(2)]
-        rng = np.random.default_rng(6)
-        feats = np.abs(rng.normal(size=(5, 6)))
-        labels = rng.integers(0, 3, size=5)
-        plain = sum(
-            w * nn.forward(m, feats, from_classifier_only=True)
-            for m, w in zip(models, [0.4, 0.6])
-        )
-        head = generator.ensemble_head(models, [0.4, 0.6], k_scale=0.5)
-        literal, _ = generator.ensemble_ce(feats, head, labels)
-        expect, _ = nn.softmax_ce_loss(plain / 2.0, labels)
-        assert literal == pytest.approx(expect, rel=1e-14)
+        # the literal form's 1/K factor is the same run against a head scaled by 1/K
+        gen = make_generator(22, n_classes=3, feature_dim=6)
+        clf = make_snapshot(23)
+        halved = clf.copy()
+        for a in halved.layers[-1]:
+            a *= 0.5
+        literal, lt = generator.train_generator(gen, clf, 2, small_cfg(eq3_literal=True), 3)
+        plain, pt = generator.train_generator(gen, halved, 2, small_cfg(), 3)
+        assert nn.params_equal(literal, plain)
+        assert np.array_equal(lt["ce"], pt["ce"])
 
-    @pytest.mark.parametrize("k_scale", [1.0, 0.5])
-    def test_ensemble_ce_feature_grad_matches_fd(self, k_scale):
-        # three single-layer heads combined into one by ensemble_head
-        models = [make_snapshot(26 + i) for i in range(3)]
-        p = [0.2, 0.5, 0.3]
-        rng = np.random.default_rng(28)
-        feats = np.abs(rng.normal(size=(6, 6)))
-        labels = rng.integers(0, 3, size=6)
+    def test_deeper_head_rejected(self):
+        gen = make_generator(31, n_classes=3, feature_dim=6)
+        deep = make_random_model(32, [4, 6, 5, 3], 1)
+        with pytest.raises(ShapeError, match="2 layers"):
+            generator.train_generator(gen, deep, 1, small_cfg(), 0)
 
-        def ensemble_loss(z):
-            # the definition: weighted sum of each snapshot's own logits
-            logits = k_scale * sum(
-                pk * nn.forward(m, z, from_classifier_only=True)
-                for m, pk in zip(models, p)
-            )
-            return nn.softmax_ce_loss(logits, labels)[0]
-
-        head = generator.ensemble_head(models, p, k_scale)
-        ce, grad = generator.ensemble_ce(feats, head, labels)
-        assert ce == pytest.approx(ensemble_loss(feats), rel=1e-13)
-        numeric = fd_array_grad(ensemble_loss, feats)
-        assert max_relative_error(grad, numeric) < 1e-5
-
-    def test_deeper_head_rejected_naming_snapshot(self):
-        models = [make_random_model(30 + i, [4, 6, 3], 1) for i in range(2)]
-        models.append(make_random_model(32, [4, 6, 5, 3], 1))
-        with pytest.raises(ShapeError, match="snapshot 2"):
-            generator.ensemble_head(models, [0.3, 0.3, 0.4])
-
-    def test_mismatched_head_shapes_rejected(self):
-        models = [make_random_model(33, [4, 6, 3], 1), make_random_model(34, [4, 6, 4], 1)]
-        with pytest.raises(ShapeError, match="snapshot 1"):
-            generator.ensemble_head(models, [0.5, 0.5])
-
-    def test_ensemble_weight_count_mismatch_rejected(self):
-        models = [make_random_model(29, [4, 6, 3], 1)]
+    def test_no_participants_rejected(self):
+        gen = make_generator(33, n_classes=3, feature_dim=6)
         with pytest.raises(ParameterError):
-            generator.ensemble_head(models, [0.5, 0.5])
+            generator.train_generator(gen, make_snapshot(34), 0, small_cfg(), 0)
 
     def test_zero_classifier_dead_gradient_constant_ce(self):
         gen = make_generator(23, n_classes=3, feature_dim=6)
@@ -308,7 +265,7 @@ class TestTrainGenerator:
             [(np.zeros((4, 6)), np.zeros(6)), (np.zeros((6, 3)), np.zeros(3))], 1
         )
         cfg = small_cfg(diversity_weight=0.0, gen_weight_decay=0.0)
-        _, trace = generator.train_generator(gen, [dead], [1.0], cfg, seed=0)
+        _, trace = generator.train_generator(gen, dead, 1, cfg, seed=0)
         np.testing.assert_allclose(trace["ce"], math.log(3.0), atol=1e-12)
 
     def test_snapshots_untouched_and_deterministic(self):
@@ -316,9 +273,9 @@ class TestTrainGenerator:
         snap = make_random_model(25, [4, 6, 3], 1)
         before = snap.copy()
         cfg = small_cfg()
-        out1, _ = generator.train_generator(gen, [snap], [1.0], cfg, seed=7)
+        out1, _ = generator.train_generator(gen, snap, 1, cfg, seed=7)
         assert nn.params_equal(snap, before)
-        out2, _ = generator.train_generator(gen, [snap], [1.0], cfg, seed=7)
+        out2, _ = generator.train_generator(gen, snap, 1, cfg, seed=7)
         assert nn.params_equal(out1, out2)
         # input generator itself untouched
         assert nn.params_equal(gen, make_generator(24, n_classes=3, feature_dim=6))
@@ -345,7 +302,7 @@ class TestTrainGenerator:
             cfg = small_cfg(
                 n_classes=2, gen_epochs=4, gen_batches=25, diversity_weight=0.1
             )
-            _, trace = generator.train_generator(gen, [clf], [1.0], cfg, seed)
+            _, trace = generator.train_generator(gen, clf, 1, cfg, seed)
             first = trace["ce"][:25].mean()
             last = trace["ce"][-25:].mean()
             improved += last < first

@@ -394,10 +394,21 @@ class TestCli:
               "--samples-per-class", "20", "--n-clients", "4", "--seeds", "0"], "junk.ckpt"),
             (["sweep", "--axis", "C", "--values", "x", "--out-dir", "{tmp}"], "sample_ratio"),
             (["sweep", "--axis", "N", "--values", "2.5", "--out-dir", "{tmp}"], "n_clients"),
+            (["similarity", "--gen-checkpoint", "{tmp}/nope.ckpt"], "nope.ckpt"),
+            (["similarity", "--gen-checkpoint", "{tmp}/gen16.ckpt"], "gen16.ckpt"),
+            (["similarity", "--gen-checkpoint", "{tmp}/student.ckpt"], "student.ckpt"),
+            (["similarity", "--reference-epochs", "-1"], "--reference-epochs"),
+            (["gradcheck", "--instances", "0"], "--instances"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
         (tmp_path / "junk.ckpt").write_bytes(b"\xffnot a checkpoint")
+        # a generator from a feature_dim=16 run, and a student, under the default config
+        cfg, rng = ExperimentConfig(), np.random.default_rng(0)
+        gen16 = generator.init_generator(cfg.noise_dim, cfg.n_classes, 16, cfg.gen_hidden, rng)
+        nn.save_checkpoint(gen16, tmp_path / "gen16.ckpt")
+        student = nn.he_uniform_init([cfg.d_in, cfg.feature_dim, cfg.n_classes], 1, rng)
+        nn.save_checkpoint(student, tmp_path / "student.ckpt")
         rc = cli_main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert rc == 2
