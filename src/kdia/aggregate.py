@@ -4,7 +4,10 @@ The registry holds one stored snapshot per client; a round replaces only the
 snapshots of clients that participated, so stale entries keep contributing
 old knowledge to the teacher. Aggregation itself is a plain convex
 combination of every weight and bias, summed in ascending client order so
-serial and parallel runs produce identical bits.
+serial and parallel runs produce identical bits. Only clients with a
+non-zero weight are read: the default teacher weights are exactly zero for
+every client never selected, which in a large federation is most of them.
+A skipped row would add only a signed zero, so the sum is unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ class ModelRegistry:
 
 def _convex_combination(rows, weights) -> np.ndarray:
     """``sum_k weights[k] * rows[k]`` over flat parameter vectors, summed in
-    row order. ``weights`` must sum to 1 within 1e-6."""
+    row order over the non-zero weights only. ``weights`` must sum to 1
+    within 1e-6."""
     weights = np.asarray(weights, dtype=np.float64)
     if len(rows) != weights.shape[0]:
         raise ShapeError(f"{len(rows)} models vs {weights.shape[0]} weights")
@@ -47,9 +51,11 @@ def _convex_combination(rows, weights) -> np.ndarray:
         raise ProtocolError("nothing to aggregate")
     if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ProtocolError(f"weights sum to {weights.sum():.9f}, expected 1")
-    out = weights[0] * rows[0]
-    for row, wt in zip(rows[1:], weights[1:]):
-        out += wt * row
+    # a zero-weight row would add only a signed zero
+    first, *rest = np.flatnonzero(weights)
+    out = weights[first] * rows[first]
+    for k in rest:
+        out += weights[k] * rows[k]
     return out
 
 

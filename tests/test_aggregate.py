@@ -30,6 +30,14 @@ def scalar_loop_aggregate(models, weights):
     return nn.ModelParams(layers, models[0].split_index)
 
 
+def sequential_sum(rows, weights):
+    """The full loop over every row in order, zero weights included."""
+    out = weights[0] * rows[0]
+    for row, wt in zip(rows[1:], weights[1:]):
+        out += wt * row
+    return out
+
+
 def random_weights(rng, n):
     w = rng.uniform(0.05, 1.0, size=n)
     return w / w.sum()
@@ -187,6 +195,33 @@ class TestTeacherStudentAggregates:
         for (tw, tb), (gw, gb) in zip(teacher.layers, target.layers):
             assert np.abs(tw - gw).max() < 1e-15
             assert np.abs(tb - gb).max() < 1e-15
+
+    @given(st.integers(0, 10_000), st.integers(1, 30), st.integers(1, 40), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_sequential_loop_bitwise(self, seed, n, cols, zero_share):
+        rng = np.random.default_rng(seed)
+        reg = aggregate.ModelRegistry(
+            nn.ModelParams([(np.zeros((1, cols)), np.zeros(cols))], 1), n
+        )
+        reg.stored[:] = rng.normal(size=reg.stored.shape)
+        reg.stored[rng.random(reg.stored.shape) < 0.1] = 0.0
+        weights = rng.uniform(0.05, 1.0, size=n)
+        weights[rng.random(n) < zero_share] = 0.0
+        weights[rng.integers(n)] = 0.5
+        weights /= weights.sum()
+        teacher = aggregate.aggregate_teacher(reg, weights).flat
+        # skipped zero-weight rows only change the sign of exact zeros
+        assert np.array_equal(
+            (teacher + 0.0).view(np.int64),
+            (sequential_sum(reg.stored, weights) + 0.0).view(np.int64),
+        )
+
+    def test_zero_weight_inf_row_leaves_teacher_finite(self):
+        theta0 = make_random_model(65, [3, 4, 2], 1)
+        reg = aggregate.ModelRegistry(theta0, 3)
+        reg.stored[1, 0] = np.inf
+        teacher = aggregate.aggregate_teacher(reg, [0.5, 0.0, 0.5])
+        assert np.isfinite(teacher.flat).all()
 
     def test_aggregation_never_mutates_registry(self):
         theta0 = make_random_model(70, [3, 4], 1)

@@ -201,16 +201,17 @@ class TestNonFiniteContext:
         assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_poisoned_registry_row_names_round_client_and_teacher_evaluation(self):
-        cfg = tiny_cfg(rounds=1)
-        selected = orchestrator.run_round(orchestrator.build_state(cfg, 0), 0).selected
-        absent = max(set(range(cfg.n_clients)) - set(selected))
+        cfg = tiny_cfg(rounds=2)
         state = orchestrator.build_state(cfg, 0)
-        state.registry.stored[absent, 0] = np.inf
-        # its zero round-0 weight times inf is NaN in the teacher
+        first = orchestrator.run_round(state, 0).selected
+        second = orchestrator.run_round(orchestrator.build_state(cfg, 0), 1).selected
+        # selected in round 0 but not in round 1, so its round-1 weight is non-zero
+        stale = max(set(first) - set(second))
+        state.registry.stored[stale, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(
-            ArithmeticError, match=f"^round 0, client {absent}, teacher evaluation: forward"
+            ArithmeticError, match=f"^round 1, client {stale}, teacher evaluation: forward"
         ) as info:
-            orchestrator.run_round(state, 0)
+            orchestrator.run_round(state, 1)
         assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_overflowed_update_names_round_client_and_student_evaluation(self, monkeypatch):
