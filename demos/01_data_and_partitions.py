@@ -44,7 +44,9 @@ assert all(
     np.array_equal(a, b)
     for a, b in zip(part.client_indices, again.client_indices)
 )
-b0 = data.batches(part, train, client_id=0, batch_size=64, epoch_seed=0)
-b1 = data.batches(part, train, client_id=0, batch_size=64, epoch_seed=1)
-print(f"\nclient 0 batches: {[len(y) for _, y in b0]} (epoch 0), "
-      f"same sizes but reshuffled at epoch 1: {not np.array_equal(b0[0][1], b1[0][1])}")
+# batches are chunks of positions into the client's rows
+n_rows = len(part.client_indices[0])
+b0 = data.batches(n_rows, batch_size=64, epoch_seed=0)
+b1 = data.batches(n_rows, batch_size=64, epoch_seed=1)
+print(f"\nclient 0 batches: {[len(pos) for pos in b0]} (epoch 0), "
+      f"same sizes but reshuffled at epoch 1: {not np.array_equal(b0[0], b1[0])}")

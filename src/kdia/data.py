@@ -150,26 +150,18 @@ def dirichlet_partition(
     return Partition(client_indices)
 
 
-def batches(
-    part: Partition,
-    ds: Dataset,
-    client_id: int,
-    batch_size: int,
-    epoch_seed: int,
-):
-    """Client's samples shuffled by ``epoch_seed`` and chunked; the last chunk
-    may be short."""
-    if client_id >= part.n_clients:
-        raise ConfigError(f"client {client_id} >= {part.n_clients} clients")
+def batches(n_rows: int, batch_size: int, epoch_seed):
+    """Positions ``0..n_rows-1`` shuffled by ``epoch_seed`` and chunked; the
+    last chunk may be short.
+
+    The shuffle depends only on the length, so indexing a client's sample
+    ids with these positions gives the same batches as shuffling the ids
+    themselves. Callers gather the rows of each batch.
+    """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-    ix = part.client_indices[client_id].copy()
-    np.random.default_rng(epoch_seed).shuffle(ix)
-    out = []
-    for lo in range(0, len(ix), batch_size):
-        chunk = ix[lo : lo + batch_size]
-        out.append((ds.features[chunk], ds.labels[chunk]))
-    return out
+    order = np.random.default_rng(epoch_seed).permutation(n_rows)
+    return [order[lo : lo + batch_size] for lo in range(0, n_rows, batch_size)]
 
 
 def label_histogram(part: Partition, ds: Dataset, client_id: int) -> np.ndarray:

@@ -106,11 +106,12 @@ def train_centralized_reference(
 
     def batch_fn(epoch):
         order = rng.permutation(len(ds))
-        chunks = np.split(order, range(cfg.batch_size, len(ds), cfg.batch_size))
-        return [(ds.features[ix], ds.labels[ix]) for ix in chunks]
+        return np.split(order, range(cfg.batch_size, len(ds), cfg.batch_size))
 
     reference_cfg = dataclasses.replace(cfg, local_epochs=epochs)
-    return trainer.local_update(model, None, batch_fn, reference_cfg)[0]
+    return trainer.local_update(
+        model, None, ds.features, ds.labels, batch_fn, reference_cfg
+    )[0]
 
 
 def mean_cosine(real: np.ndarray, generated: np.ndarray) -> float:

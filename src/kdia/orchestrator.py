@@ -127,14 +127,12 @@ def build_state(cfg: ExperimentConfig, master_seed: int) -> FedState:
 
 
 def _client_batch_fn(state: FedState, t: int, client_id: int):
-    cfg = state.cfg
+    n_rows = len(state.partition.client_indices[client_id])
 
     def batch_fn(epoch: int):
         return data.batches(
-            state.partition,
-            state.train_ds,
-            client_id,
-            cfg.batch_size,
+            n_rows,
+            state.cfg.batch_size,
             epoch_seed=seed_for(state.master_seed, _TAG_BATCH, t, client_id, epoch),
         )
 
@@ -163,12 +161,13 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
     updates = []
     all_stats = []
     for k in selected:
+        rows = state.partition.client_indices[k]
         synth = None
         if state.gen is not None and cfg.gen_weight > 0.0:
             synth = generator.LocalSynthesizer(
                 state.gen,
                 cfg.n_classes,
-                len(state.partition.client_indices[k]),
+                len(rows),
                 cfg.local_epochs,
                 cfg.batch_size,
                 seed=seed_for(state.master_seed, _TAG_SYNTH, t, k),
@@ -177,6 +176,8 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
             updated, stats = trainer.local_update(
                 state.student,
                 state.teacher,
+                state.train_ds.features[rows],
+                state.train_ds.labels[rows],
                 _client_batch_fn(state, t, int(k)),
                 cfg,
                 synth=synth,
@@ -317,18 +318,18 @@ def fedavg_reference(
         selected_sets.append([int(k) for k in selected])
         locals_ = []
         for k in selected:
+            ix = part.client_indices[k]
             params = model.copy()
             st = nn.sgd_state(
                 params, cfg.learning_rate, cfg.momentum, cfg.weight_decay
             )
             for epoch in range(cfg.local_epochs):
-                for x, y in data.batches(
-                    part,
-                    train_ds,
-                    int(k),
+                for pos in data.batches(
+                    len(ix),
                     cfg.batch_size,
                     epoch_seed=seed_for(master_seed, _TAG_BATCH, t, int(k), epoch),
                 ):
+                    x, y = train_ds.features[ix[pos]], train_ds.labels[ix[pos]]
                     logits = nn.forward(params, x)
                     _, grad = nn.softmax_ce_loss(logits, y)
                     nn.optimizer_step(params, nn.backward(params, x, grad), st)

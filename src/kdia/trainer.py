@@ -2,10 +2,14 @@
 the frozen teacher, and the generator-auxiliary term on synthetic features.
 
 One SGD-momentum step runs per real batch. The teacher's tempered softmax on
-the same batch supervises the student's tempered softmax; synthetic feature
-batches enter through the classifier-only path. By default one synthetic
-batch is drawn per epoch and reused across that epoch's real batches, with
-``syn_per_batch`` available to resample per real batch instead.
+the same batch supervises the student's tempered softmax. The teacher and
+the client's rows stay fixed for the whole update, so that softmax is
+computed once over all of the client's rows and indexed per batch; softmax
+works row by row, so these are the per-batch targets up to the rounding of
+the teacher's matmul. Synthetic feature batches enter through the
+classifier-only path. By default one synthetic batch is drawn per epoch and
+reused across that epoch's real batches, with ``syn_per_batch`` available to
+resample per real batch instead.
 
 The settings are read from the experiment's ``ExperimentConfig`` by their
 key names; their ranges were checked when that config was built.
@@ -53,6 +57,11 @@ def kd_loss(
     if kd_weight == 0.0:
         return 0.0, np.zeros_like(student_logits)
     targets = nn.softmax(teacher_logits, temperature)
+    return _soft_target_loss(student_logits, targets, temperature, kd_weight, tau_squared)
+
+
+def _soft_target_loss(student_logits, targets, temperature, kd_weight, tau_squared):
+    """``kd_loss`` given the teacher's tempered softmax ``targets``."""
     loss, grad = nn.softmax_ce_loss(student_logits, targets, temperature)
     scale = kd_weight * (temperature**2 if tau_squared else 1.0)
     return scale * loss, scale * grad
@@ -61,17 +70,21 @@ def kd_loss(
 def local_update(
     global_params: nn.ModelParams,
     teacher_params: nn.ModelParams | None,
+    features: np.ndarray,
+    labels: np.ndarray,
     batch_fn,
     cfg: ExperimentConfig,
     synth=None,
 ) -> tuple[nn.ModelParams, LocalStats]:
-    """Run the local epochs and return the client's updated model.
+    """Run the local epochs over the client's rows ``features``/``labels``
+    and return the client's updated model.
 
-    ``batch_fn(epoch)`` returns that epoch's list of real ``(features,
-    labels)`` batches; ``synth`` (anything with ``draw()``) provides synthetic
+    ``batch_fn(epoch)`` returns that epoch's list of batches, each an array
+    of row positions; ``synth`` (anything with ``draw()``) provides synthetic
     feature batches and may be None. The KD term runs only with a teacher
     and the generator term only with ``synth``, each when its weight in
-    ``cfg`` is positive. Teacher and generator are read-only throughout.
+    ``cfg`` is positive. Teacher and generator are read-only throughout, so
+    the teacher's soft targets are computed once, over all of the rows.
     """
     params = global_params.copy()
     stats = LocalStats()
@@ -82,6 +95,8 @@ def local_update(
     )
     use_kd = teacher_params is not None and cfg.kd_weight > 0.0
     use_gen = synth is not None and cfg.gen_weight > 0.0
+    if use_kd:
+        teacher_probs = nn.softmax(nn.forward(teacher_params, features), cfg.temperature)
     split = params.split_index
     head = params.layers[split:]
     for epoch in range(cfg.local_epochs):
@@ -90,15 +105,14 @@ def local_update(
             raise ConfigError("client has no data batches")
         if use_gen and not cfg.syn_per_batch:
             syn_x, syn_y = synth.draw()
-        for x, y in real_batches:
-            logits, inputs = nn.forward_layers(params.layers, x)
-            ce, grad_logits = nn.softmax_ce_loss(logits, y)
+        for pos in real_batches:
+            logits, inputs = nn.forward_layers(params.layers, features[pos])
+            ce, grad_logits = nn.softmax_ce_loss(logits, labels[pos])
             kd = 0.0
             if use_kd:
-                teacher_logits = nn.forward(teacher_params, x)
-                kd, kd_grad = kd_loss(
+                kd, kd_grad = _soft_target_loss(
                     logits,
-                    teacher_logits,
+                    teacher_probs[pos],
                     cfg.temperature,
                     cfg.kd_weight,
                     cfg.kd_tau_squared,

@@ -116,36 +116,39 @@ class TestDirichletPartition:
 
 
 class TestBatches:
-    @pytest.fixture
-    def small(self):
-        ds = data.make_blobs(2, 65, 4, spread=1.0, seed=21)
-        part = data.dirichlet_partition(ds, 1, beta=1.0, seed=0)
-        return ds, part
-
     def test_short_dataset_single_batch(self):
-        ds = data.make_blobs(2, 5, 4, spread=1.0, seed=2)
-        part = data.dirichlet_partition(ds, 1, beta=1.0, seed=0)
-        out = data.batches(part, ds, 0, batch_size=64, epoch_seed=0)
+        out = data.batches(10, batch_size=64, epoch_seed=0)
         assert len(out) == 1
-        assert out[0][0].shape == (10, 4)
+        assert sorted(out[0].tolist()) == list(range(10))
 
-    def test_chunk_sizes(self, small):
-        ds, part = small
-        out = data.batches(part, ds, 0, batch_size=64, epoch_seed=3)
-        assert [len(y) for _, y in out] == [64, 64, 2]
+    def test_chunk_sizes(self):
+        out = data.batches(130, batch_size=64, epoch_seed=3)
+        assert [len(pos) for pos in out] == [64, 64, 2]
 
-    def test_same_epoch_seed_identical(self, small):
-        ds, part = small
-        a = data.batches(part, ds, 0, batch_size=64, epoch_seed=5)
-        b = data.batches(part, ds, 0, batch_size=64, epoch_seed=5)
-        for (xa, ya), (xb, yb) in zip(a, b):
-            assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
+    def test_same_epoch_seed_identical(self):
+        a = data.batches(130, batch_size=64, epoch_seed=5)
+        b = data.batches(130, batch_size=64, epoch_seed=5)
+        for pa, pb in zip(a, b, strict=True):
+            assert np.array_equal(pa, pb)
 
-    def test_different_epoch_seed_differs(self, small):
-        ds, part = small
-        a = data.batches(part, ds, 0, batch_size=64, epoch_seed=5)
-        b = data.batches(part, ds, 0, batch_size=64, epoch_seed=6)
-        assert not np.array_equal(a[0][1], b[0][1])
+    def test_different_epoch_seed_differs(self):
+        a = data.batches(130, batch_size=64, epoch_seed=5)
+        b = data.batches(130, batch_size=64, epoch_seed=6)
+        assert not np.array_equal(a[0], b[0])
+
+    def test_positions_pick_the_shuffled_sample_ids(self):
+        # the same batches as shuffling a client's sample ids themselves
+        ds = data.make_blobs(2, 65, 4, spread=1.0, seed=21)
+        part = data.dirichlet_partition(ds, 3, beta=1.0, seed=0)
+        for ix in part.client_indices:
+            shuffled = ix.copy()
+            np.random.default_rng(7).shuffle(shuffled)
+            pos = np.concatenate(data.batches(len(ix), batch_size=16, epoch_seed=7))
+            assert np.array_equal(ix[pos], shuffled)
+
+    def test_bad_batch_size_rejected(self):
+        with pytest.raises(ParameterError):
+            data.batches(10, batch_size=0, epoch_seed=0)
 
 
 class TestSplitAndExport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
-from kdia import nn, trainer
+from kdia import data, nn, trainer
 from kdia.config import ExperimentConfig
 from kdia.errors import ConfigError, ParameterError
 from kdia.gradcheck import fd_array_grad, max_relative_error
@@ -91,8 +91,9 @@ class TestKdLoss:
             trainer.kd_loss(np.zeros((2, 3)), np.zeros((2, 3)), 0.0, 0.5)
 
 
-def fixed_batches(x, y):
-    return lambda epoch: [(x, y)]
+def whole_batch(x):
+    """Every row in order, as one batch per epoch."""
+    return lambda epoch: [np.arange(len(x))]
 
 
 class TestLocalUpdate:
@@ -109,7 +110,7 @@ class TestLocalUpdate:
         cfg = ExperimentConfig(
             local_epochs=3, kd_weight=0.0, gen_weight=0.0
         )
-        ours, _ = trainer.local_update(model, None, fixed_batches(x, y), cfg)
+        ours, _ = trainer.local_update(model, None, x, y, whole_batch(x), cfg)
 
         # independent plain loop over the same primitives
         params = model.copy()
@@ -120,10 +121,56 @@ class TestLocalUpdate:
             nn.optimizer_step(params, nn.backward(params, x, grad), state)
         assert nn.params_equal(ours, params)
 
+    @pytest.mark.parametrize("tau_squared", [False, True])
+    def test_kd_matches_textbook_oracle_bitwise(self, tau_squared):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(37, 4))
+        y = rng.integers(0, 3, size=37)
+        model = make_random_model(140, [4, 6, 3], 1)
+        teacher = make_random_model(240, [4, 6, 3], 1)
+        cfg = ExperimentConfig(
+            local_epochs=3, batch_size=8, kd_weight=0.7, temperature=3.0,
+            kd_tau_squared=tau_squared,
+        )
+        batch_fn = lambda epoch: data.batches(len(x), cfg.batch_size, epoch_seed=epoch)
+        ours, stats = trainer.local_update(model, teacher, x, y, batch_fn, cfg)
+
+        # the teacher's tempered softmax over every row of the client, once
+        targets = nn.softmax(nn.forward(teacher, x), cfg.temperature)
+        scale = cfg.kd_weight * (cfg.temperature**2 if tau_squared else 1.0)
+        params = model.copy()
+        state = nn.sgd_state(params, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+        kd_trace = []
+        for epoch in range(cfg.local_epochs):
+            for pos in batch_fn(epoch):
+                logits = nn.forward(params, x[pos])
+                _, ce_grad = nn.softmax_ce_loss(logits, y[pos])
+                kd, kd_grad = nn.softmax_ce_loss(logits, targets[pos], cfg.temperature)
+                grads = nn.backward(params, x[pos], ce_grad + scale * kd_grad)
+                nn.optimizer_step(params, grads, state)
+                kd_trace.append(scale * kd)
+        assert nn.params_equal(ours, params)
+        assert stats.kd == kd_trace
+
+    def test_teacher_forward_runs_once_per_call(self, monkeypatch):
+        x, y, model, teacher = self.setup_inputs(17)
+        real_forward = nn.forward
+        seen = []
+
+        def counting_forward(params, batch, *args, **kwargs):
+            seen.append(params)
+            return real_forward(params, batch, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", counting_forward)
+        cfg = ExperimentConfig(local_epochs=4)
+        batch_fn = lambda epoch: [np.arange(4), np.arange(4, 8)]
+        trainer.local_update(model, teacher, x, y, batch_fn, cfg)
+        assert seen == [teacher]
+
     def test_zero_epochs_returns_global_unchanged(self):
         x, y, model, teacher = self.setup_inputs()
         cfg = ExperimentConfig(local_epochs=0, gen_weight=0.01)
-        out, stats = trainer.local_update(model, teacher, fixed_batches(x, y), cfg)
+        out, stats = trainer.local_update(model, teacher, x, y, whole_batch(x), cfg)
         assert nn.params_equal(out, model)
         assert stats.ce == stats.kd == stats.gen == []
 
@@ -147,7 +194,7 @@ class TestLocalUpdate:
             temperature=tau,
         )
         out, stats = trainer.local_update(
-            model, teacher, fixed_batches(x, y), cfg, synth=syn
+            model, teacher, x, y, whole_batch(x), cfg, synth=syn
         )
 
         def softmax2(a, b):
@@ -184,25 +231,25 @@ class TestLocalUpdate:
         teacher_before = teacher.copy()
         syn = StubSynth(np.abs(np.random.default_rng(8).normal(size=(4, 6))), [0, 1, 2, 0])
         cfg = ExperimentConfig(local_epochs=2, gen_weight=0.1)
-        trainer.local_update(model, teacher, fixed_batches(x, y), cfg, synth=syn)
+        trainer.local_update(model, teacher, x, y, whole_batch(x), cfg, synth=syn)
         assert nn.params_equal(teacher, teacher_before)
 
     def test_one_synth_draw_per_epoch_by_default(self):
         x, y, model, teacher = self.setup_inputs(9)
         y_big = np.concatenate([y, y])
         x_big = np.vstack([x, x])
-        batch_fn = lambda epoch: [(x_big[:8], y_big[:8]), (x_big[8:], y_big[8:])]
+        batch_fn = lambda epoch: [np.arange(8), np.arange(8, 16)]
         syn = StubSynth(np.abs(np.random.default_rng(10).normal(size=(4, 6))), [0, 1, 2, 0])
         cfg = ExperimentConfig(local_epochs=3, gen_weight=0.1)
-        trainer.local_update(model, teacher, batch_fn, cfg, synth=syn)
+        trainer.local_update(model, teacher, x_big, y_big, batch_fn, cfg, synth=syn)
         assert syn.draws == 3
 
     def test_syn_per_batch_draws_per_real_batch(self):
         x, y, model, teacher = self.setup_inputs(11)
-        batch_fn = lambda epoch: [(x, y), (x, y)]
+        batch_fn = lambda epoch: [np.arange(8), np.arange(8)]
         syn = StubSynth(np.abs(np.random.default_rng(12).normal(size=(4, 6))), [0, 1, 2, 0])
         cfg = ExperimentConfig(local_epochs=3, gen_weight=0.1, syn_per_batch=True)
-        trainer.local_update(model, teacher, batch_fn, cfg, synth=syn)
+        trainer.local_update(model, teacher, x, y, batch_fn, cfg, synth=syn)
         assert syn.draws == 6
 
     def test_deterministic(self):
@@ -210,18 +257,18 @@ class TestLocalUpdate:
         syn_feats = np.abs(np.random.default_rng(14).normal(size=(4, 6)))
         cfg = ExperimentConfig(local_epochs=2, gen_weight=0.3)
         a, _ = trainer.local_update(
-            model, teacher, fixed_batches(x, y), cfg, synth=StubSynth(syn_feats, [0, 1, 2, 0])
+            model, teacher, x, y, whole_batch(x), cfg, synth=StubSynth(syn_feats, [0, 1, 2, 0])
         )
         b, _ = trainer.local_update(
-            model, teacher, fixed_batches(x, y), cfg, synth=StubSynth(syn_feats, [0, 1, 2, 0])
+            model, teacher, x, y, whole_batch(x), cfg, synth=StubSynth(syn_feats, [0, 1, 2, 0])
         )
         assert nn.params_equal(a, b)
 
     def test_empty_batches_rejected(self):
-        _, _, model, _ = self.setup_inputs(15)
+        x, y, model, _ = self.setup_inputs(15)
         cfg = ExperimentConfig(local_epochs=1, gen_weight=0.01)
         with pytest.raises(ConfigError):
-            trainer.local_update(model, None, lambda epoch: [], cfg)
+            trainer.local_update(model, None, x, y, lambda epoch: [], cfg)
 
 
 class TestEvaluate:
