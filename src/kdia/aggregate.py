@@ -42,13 +42,18 @@ class ModelRegistry:
 
 def _convex_combination(rows, weights) -> np.ndarray:
     """``sum_k weights[k] * rows[k]`` over flat parameter vectors, summed in
-    row order over the non-zero weights only. ``weights`` must sum to 1
-    within 1e-6."""
+    row order over the non-zero weights only. ``weights`` must be finite,
+    non-negative and sum to 1 within 1e-6."""
     weights = np.asarray(weights, dtype=np.float64)
     if len(rows) != weights.shape[0]:
         raise ShapeError(f"{len(rows)} models vs {weights.shape[0]} weights")
     if not len(rows):
         raise ProtocolError("nothing to aggregate")
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0.0)))
+    if bad.size:
+        raise ProtocolError(
+            f"weight {bad[0]} is {weights[bad[0]]}, expected finite and >= 0"
+        )
     if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ProtocolError(f"weights sum to {weights.sum():.9f}, expected 1")
     # a zero-weight row would add only a signed zero

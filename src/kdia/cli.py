@@ -85,6 +85,8 @@ def _cmd_similarity(args) -> int:
     if args.reference_epochs < 0:
         raise ConfigError(f"--reference-epochs must be >= 0, got {args.reference_epochs}")
     gen = nn.load_checkpoint(args.gen_checkpoint) if args.gen_checkpoint else None
+    if gen is None and cfg.disable_gen:
+        raise ConfigError("generator disabled; nothing to compare")
     expected = (cfg.noise_dim + cfg.n_classes, cfg.feature_dim)
     if gen is not None and (gen.input_width, gen.layers[-1][0].shape[1]) != expected:
         raise ConfigError(
@@ -99,10 +101,7 @@ def _cmd_similarity(args) -> int:
     )
     ref_acc = trainer.evaluate(reference, state.test_ds.features, state.test_ds.labels)
     if gen is None:
-        result = orchestrator.run_experiment(cfg, seed)
-        gen = result.state.gen
-        if gen is None:
-            raise ConfigError("generator disabled; nothing to compare")
+        gen = orchestrator.run_experiment(cfg, seed).state.gen
     sims = harness.feature_similarity(gen, reference, state.train_ds, seed=seed)
     print(f"centralized reference accuracy: {ref_acc:.4f}")
     for c, s in enumerate(sims):

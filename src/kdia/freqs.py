@@ -106,13 +106,16 @@ def combine_freqs(
     """
     if mode not in WEIGHT_MODES:
         raise ConfigError(f"unknown weighting mode {mode!r}; expected {WEIGHT_MODES}")
-    vectors = {"intv": f_intv, "part": f_part, "num": f_num}
+    vectors = {
+        name: np.asarray(v, dtype=np.float64)
+        for name, v in (("intv", f_intv), ("part", f_part), ("num", f_num))
+    }
     for name, v in vectors.items():
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != np.asarray(f_intv).shape:
+        if v.shape != vectors["intv"].shape:
             raise ConfigError("frequency vectors must share one length")
-        if (v < 0).any():
-            raise ConfigError(f"negative entries in {name} frequencies")
+        if not (v >= 0).all():
+            raise ConfigError(f"NaN or negative entries in {name} frequencies")
+    f_intv, f_part, f_num = vectors.values()
     if part_floor > 0.0:
         f_part = np.maximum(f_part, part_floor)
     if mode == "tri-gm":
@@ -120,7 +123,7 @@ def combine_freqs(
     elif mode == "tri-am":
         tri = (f_intv + f_part + f_num) / 3.0
     else:
-        tri = np.asarray(vectors[mode], dtype=np.float64).copy()
+        tri = vectors[mode]
     total = tri.sum()
     if total <= 0.0:
         raise ProtocolError("combined frequency vector sums to zero")

@@ -119,6 +119,16 @@ class TestWeightedAggregate:
         with pytest.raises(ProtocolError):
             aggregate.weighted_aggregate(models, [0.5, 0.6])
 
+    @pytest.mark.parametrize(
+        "weights,named",
+        [([np.nan, 0.5, 0.5], "weight 0"), ([-1.0, 1.0, 1.0], "weight 0"),
+         ([0.5, 0.5, -0.0, np.inf], "weight 3")],
+    )
+    def test_non_convex_weights_rejected_naming_index(self, weights, named):
+        reg = aggregate.ModelRegistry(make_random_model(22, [2, 3], 1), len(weights))
+        with pytest.raises(ProtocolError, match=f"^{named} is"):
+            aggregate.aggregate_teacher(reg, weights)
+
     def test_length_mismatch_rejected(self):
         models = [make_random_model(21, [2, 3], 1)] * 2
         with pytest.raises(ShapeError):

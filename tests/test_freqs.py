@@ -180,6 +180,20 @@ class TestCombine:
         )
         assert teacher[2] > 0.0
 
+    @pytest.mark.parametrize("mode", freqs.WEIGHT_MODES)
+    def test_list_inputs_match_arrays(self, mode):
+        f = ([0.1, 0.2, 0.7], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4])
+        expect = freqs.combine_freqs(*map(np.array, f), mode, part_floor=1e-3)
+        assert np.array_equal(freqs.combine_freqs(*f, mode, part_floor=1e-3), expect)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1])
+    @pytest.mark.parametrize("slot,name", [(0, "intv"), (1, "part"), (2, "num")])
+    def test_nan_or_negative_entry_names_vector(self, bad, slot, name):
+        vectors = [np.full(3, 1 / 3) for _ in range(3)]
+        vectors[slot][1] = bad
+        with pytest.raises(ConfigError, match=f"in {name} frequencies"):
+            freqs.combine_freqs(*vectors, "tri-gm")
+
     def test_unknown_mode_rejected(self):
         u = np.full(3, 1 / 3)
         with pytest.raises(ConfigError):

@@ -399,6 +399,11 @@ class TestCli:
             (["similarity", "--gen-checkpoint", "{tmp}/student.ckpt"], "student.ckpt"),
             (["similarity", "--reference-epochs", "-1"], "--reference-epochs"),
             (["gradcheck", "--instances", "0"], "--instances"),
+            # an infinite floor makes every teacher weight NaN
+            (["run", "--part-floor", "inf", "--rounds", "1", "--seeds", "0",
+              "--out-dir", "{tmp}"], "weight 0 is nan"),
+            # at the defaults, before 100 reference epochs and 200 rounds
+            (["similarity", "--disable-gen"], "generator disabled"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
