@@ -16,6 +16,12 @@ gradient with respect to the batch. ``optimizer_step`` is the one function
 that writes to its arguments: it updates the model's vector and the
 optimizer's slots in place, so callers step a copy they own. Everything else
 takes values and returns new values, with no hidden shared state.
+
+Cross-entropy has one implementation, ``tempered_ce``, which checks nothing;
+``target_rows`` checks labels or probability rows and turns them into the
+float64 rows it reads. ``softmax_ce_loss`` runs both on every call. A caller
+whose targets stay fixed over many steps (the local trainer) checks them once
+with ``target_rows`` and calls ``tempered_ce`` on slices of the result.
 """
 
 from __future__ import annotations
@@ -226,24 +232,67 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _target_rows(targets, n_rows: int, n_cols: int) -> np.ndarray:
+def target_rows(targets, n_rows: int, n_cols: int) -> np.ndarray:
+    """Checked float64 target rows for ``n_rows`` logit rows of ``n_cols``
+    classes.
+
+    ``targets`` is either a vector of integer labels in ``[0, n_cols)``,
+    returned as one-hot rows, or a matrix of probability rows, each
+    non-negative and summing to 1 within 1e-9. A shape that does not fit
+    (an empty batch included) raises ``ShapeError``; float or bool labels,
+    NaN and bad rows raise ``ParameterError``.
+    """
+    if n_rows < 1 or n_cols < 1:
+        raise ShapeError(f"empty batch: {n_rows} rows of {n_cols} logits")
     targets = np.asarray(targets)
     if targets.ndim == 1:
         if targets.shape[0] != n_rows:
             raise ShapeError(f"{targets.shape[0]} labels for {n_rows} logit rows")
+        if targets.dtype.kind not in "iu":
+            raise ParameterError(f"labels must be integers, got dtype {targets.dtype}")
         if targets.min() < 0 or targets.max() >= n_cols:
             raise ParameterError("label outside [0, n_classes)")
         rows = np.zeros((n_rows, n_cols))
-        rows[np.arange(n_rows), targets.astype(np.int64)] = 1.0
+        rows[np.arange(n_rows), targets] = 1.0
         return rows
     if targets.shape != (n_rows, n_cols):
         raise ShapeError(
             f"target rows shaped {targets.shape}, logits {(n_rows, n_cols)}"
         )
-    sums = targets.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-9:
+    rows = np.asarray(targets, dtype=np.float64)
+    # written so that NaN fails both tests; an infinite entry fails the sum
+    if not rows.min() >= 0.0:
+        raise ParameterError("probability-row targets must be non-negative numbers")
+    if not np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-9:
         raise ParameterError("probability-row targets must each sum to 1")
-    return targets.astype(np.float64)
+    return rows
+
+
+def tempered_ce(
+    logits: np.ndarray, rows: np.ndarray, temperature: float = 1.0, row_max=None
+) -> tuple[float, np.ndarray]:
+    """Mean tempered-softmax cross-entropy of float64 ``logits`` against
+    ``target_rows`` output ``rows``, and its exact gradient w.r.t. the logits
+    (the 1/batch and 1/temperature factors included).
+
+    Nothing is checked: callers pass rows that ``target_rows`` accepted and
+    a ``temperature > 0``. ``row_max`` is ``logits.max(axis=1)`` if the
+    caller already has it; one row max serves every temperature exactly,
+    because rounding is monotone: ``fl(max l) / T == max fl(l / T)``.
+    """
+    n = logits.shape[0]
+    if row_max is None:
+        row_max = logits.max(axis=1)
+    if temperature != 1.0:
+        logits, row_max = logits / temperature, row_max / temperature
+    z = logits - row_max[:, None]
+    # z becomes the log-probabilities
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = float(-(rows * z).sum() / n)
+    grad = np.exp(z)
+    grad -= rows
+    grad /= n * temperature
+    return loss, grad
 
 
 def softmax_ce_loss(
@@ -252,19 +301,14 @@ def softmax_ce_loss(
     """Mean tempered-softmax cross-entropy and its exact gradient w.r.t. logits.
 
     ``targets`` is either an integer label vector or a matrix of probability
-    rows. The gradient already includes the 1/batch and 1/temperature factors.
+    rows, checked by ``target_rows``; the loss is ``tempered_ce``.
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     logits = np.asarray(logits, dtype=np.float64)
-    n, c = logits.shape
-    t = _target_rows(targets, n, c)
-    z = logits / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = float(-(t * log_probs).sum() / n)
-    grad = (np.exp(log_probs) - t) / (n * temperature)
-    return loss, grad
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
+    return tempered_ce(logits, target_rows(targets, *logits.shape), temperature)
 
 
 @dataclass

@@ -11,6 +11,13 @@ classifier-only path. By default one synthetic batch is drawn per epoch and
 reused across that epoch's real batches, with ``syn_per_batch`` available to
 resample per real batch instead.
 
+The client's labels and the teacher's soft targets are checked by
+``nn.target_rows`` once per update, and every batch reads its rows from
+those checked arrays. Each step takes the student logits' row max once and
+runs ``nn.tempered_ce`` on it twice, at temperature 1 for the labels and at
+the distillation temperature for the teacher's targets; the synthetic
+labels change with every draw and go through ``nn.softmax_ce_loss``.
+
 The settings are read from the experiment's ``ExperimentConfig`` by their
 key names; their ranges were checked when that config was built.
 """
@@ -57,14 +64,13 @@ def kd_loss(
     if kd_weight == 0.0:
         return 0.0, np.zeros_like(student_logits)
     targets = nn.softmax(teacher_logits, temperature)
-    return _soft_target_loss(student_logits, targets, temperature, kd_weight, tau_squared)
-
-
-def _soft_target_loss(student_logits, targets, temperature, kd_weight, tau_squared):
-    """``kd_loss`` given the teacher's tempered softmax ``targets``."""
     loss, grad = nn.softmax_ce_loss(student_logits, targets, temperature)
-    scale = kd_weight * (temperature**2 if tau_squared else 1.0)
+    scale = _kd_scale(kd_weight, temperature, tau_squared)
     return scale * loss, scale * grad
+
+
+def _kd_scale(kd_weight: float, temperature: float, tau_squared: bool) -> float:
+    return kd_weight * (temperature**2 if tau_squared else 1.0)
 
 
 def local_update(
@@ -95,29 +101,34 @@ def local_update(
     )
     use_kd = teacher_params is not None and cfg.kd_weight > 0.0
     use_gen = synth is not None and cfg.gen_weight > 0.0
-    if use_kd:
-        teacher_probs = nn.softmax(nn.forward(teacher_params, features), cfg.temperature)
     split = params.split_index
     head = params.layers[split:]
+    n_rows, n_classes = len(features), params.layers[-1][0].shape[1]
+    onehot = nn.target_rows(labels, n_rows, n_classes)
+    if use_kd:
+        teacher_probs = nn.target_rows(
+            nn.softmax(nn.forward(teacher_params, features), cfg.temperature),
+            n_rows,
+            n_classes,
+        )
+        kd_scale = _kd_scale(cfg.kd_weight, cfg.temperature, cfg.kd_tau_squared)
     for epoch in range(cfg.local_epochs):
         real_batches = batch_fn(epoch)
-        if not real_batches:
-            raise ConfigError("client has no data batches")
+        if not real_batches or min(map(len, real_batches)) == 0:
+            raise ConfigError("client has no data batches, or an empty one")
         if use_gen and not cfg.syn_per_batch:
             syn_x, syn_y = synth.draw()
         for pos in real_batches:
             logits, inputs = nn.forward_layers(params.layers, features[pos])
-            ce, grad_logits = nn.softmax_ce_loss(logits, labels[pos])
+            row_max = logits.max(axis=1)
+            ce, grad_logits = nn.tempered_ce(logits, onehot[pos], 1.0, row_max)
             kd = 0.0
             if use_kd:
-                kd, kd_grad = _soft_target_loss(
-                    logits,
-                    teacher_probs[pos],
-                    cfg.temperature,
-                    cfg.kd_weight,
-                    cfg.kd_tau_squared,
+                kd, kd_grad = nn.tempered_ce(
+                    logits, teacher_probs[pos], cfg.temperature, row_max
                 )
-                grad_logits = grad_logits + kd_grad
+                kd = kd_scale * kd
+                grad_logits = grad_logits + kd_scale * kd_grad
             grads = nn.backward_layers(params.layers, inputs, grad_logits)
             gen = 0.0
             if use_gen:

@@ -121,6 +121,59 @@ class TestSoftmaxCE:
         with pytest.raises(ParameterError):
             nn.softmax_ce_loss(np.zeros((2, 4)), bad)
 
+    def test_float_labels_rejected(self):
+        # they would be truncated to [1, 0]
+        with pytest.raises(ParameterError, match="integers"):
+            nn.softmax_ce_loss(np.zeros((2, 3)), np.array([1.7, 0.2]))
+
+    def test_bool_labels_rejected(self):
+        with pytest.raises(ParameterError, match="integers"):
+            nn.softmax_ce_loss(np.zeros((2, 3)), np.array([True, False]))
+
+    def test_nan_target_row_rejected(self):
+        rows = np.array([[0.5, 0.5, 0.0], [np.nan, 0.5, 0.5]])
+        with pytest.raises(ParameterError):
+            nn.softmax_ce_loss(np.zeros((2, 3)), rows)
+
+    def test_infinite_target_row_rejected(self):
+        rows = np.array([[0.5, 0.5, 0.0], [np.inf, 0.0, 0.0]])
+        with pytest.raises(ParameterError):
+            nn.softmax_ce_loss(np.zeros((2, 3)), rows)
+
+    def test_negative_target_row_rejected(self):
+        # sums to 1, but is no distribution
+        with pytest.raises(ParameterError, match="non-negative"):
+            nn.softmax_ce_loss(np.zeros((1, 3)), np.array([[1.5, -0.5, 0.0]]))
+
+    @pytest.mark.parametrize("targets", [np.array([], dtype=np.int64), np.zeros((0, 3))])
+    def test_empty_batch_is_shape_error(self, targets):
+        with pytest.raises(ShapeError, match="empty batch"):
+            nn.softmax_ce_loss(np.zeros((0, 3)), targets)
+
+    def test_target_rows_one_hot_and_passthrough(self):
+        np.testing.assert_array_equal(
+            nn.target_rows(np.array([2, 0], dtype=np.uint8), 2, 3),
+            [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+        )
+        probs = nn.softmax(np.random.default_rng(0).normal(size=(4, 5)))
+        np.testing.assert_array_equal(nn.target_rows(probs, 4, 5), probs)
+
+    @pytest.mark.parametrize("temperature", [0.3, 1.0, 2.0, 3.0, 7.1])
+    def test_shared_row_max_matches_textbook_bitwise(self, temperature):
+        # max-shift after tempering, as written in textbooks; the kernel
+        # tempers the untempered row max instead
+        rng = np.random.default_rng(23)
+        logits = rng.normal(scale=5.0, size=(64, 10))
+        rows = nn.softmax(rng.normal(size=(64, 10)), 2.0)
+        z = logits / temperature
+        z = z - z.max(axis=1, keepdims=True)
+        log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        loss = float(-(rows * log_probs).sum() / 64)
+        grad = (np.exp(log_probs) - rows) / (64 * temperature)
+        got = nn.tempered_ce(logits, rows, temperature, logits.max(axis=1))
+        assert got[0] == loss
+        np.testing.assert_array_equal(got[1], grad)
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 20.0))
     @settings(max_examples=40, deadline=None)
     def test_softmax_rows_sum_to_one(self, seed, temperature):

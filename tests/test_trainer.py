@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
-from kdia import data, nn, trainer
+from kdia import data, generator, nn, trainer
 from kdia.config import ExperimentConfig
-from kdia.errors import ConfigError, ParameterError
+from kdia.errors import ConfigError, ParameterError, ShapeError
 from kdia.gradcheck import fd_array_grad, max_relative_error
 
 
@@ -91,6 +91,49 @@ class TestKdLoss:
             trainer.kd_loss(np.zeros((2, 3)), np.zeros((2, 3)), 0.0, 0.5)
 
 
+def per_batch_oracle(model, teacher, x, y, batch_fn, cfg, synth=None):
+    """``local_update`` as a plain per-batch loop over the public, checked
+    losses: ``softmax_ce_loss`` on the labels and ``kd_loss`` on the
+    teacher's logits, both recomputed for every batch. The teacher's logits
+    come from one forward pass over all of the rows, as in the trainer."""
+    use_kd = teacher is not None and cfg.kd_weight > 0.0
+    use_gen = synth is not None and cfg.gen_weight > 0.0
+    teacher_logits = nn.forward(teacher, x) if use_kd else None
+    params = model.copy()
+    state = nn.sgd_state(params, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+    stats = trainer.LocalStats()
+    for epoch in range(cfg.local_epochs):
+        if use_gen and not cfg.syn_per_batch:
+            syn_x, syn_y = synth.draw()
+        for pos in batch_fn(epoch):
+            logits = nn.forward(params, x[pos])
+            ce, grad = nn.softmax_ce_loss(logits, y[pos])
+            kd = 0.0
+            if use_kd:
+                kd, kd_grad = trainer.kd_loss(
+                    logits, teacher_logits[pos], cfg.temperature, cfg.kd_weight,
+                    cfg.kd_tau_squared,
+                )
+                grad = grad + kd_grad
+            grads = nn.backward(params, x[pos], grad)
+            gen = 0.0
+            if use_gen:
+                if cfg.syn_per_batch:
+                    syn_x, syn_y = synth.draw()
+                syn_logits = nn.forward(params, syn_x, from_classifier_only=True)
+                gen_ce, gen_grad = nn.softmax_ce_loss(syn_logits, syn_y)
+                gen = cfg.gen_weight * gen_ce
+                head_grads = nn.backward(
+                    params, syn_x, cfg.gen_weight * gen_grad, from_classifier_only=True
+                )
+                grads[-head_grads.size :] += head_grads
+            nn.optimizer_step(params, grads, state)
+            stats.ce.append(ce)
+            stats.kd.append(kd)
+            stats.gen.append(gen)
+    return params, stats
+
+
 def whole_batch(x):
     """Every row in order, as one batch per epoch."""
     return lambda epoch: [np.arange(len(x))]
@@ -151,6 +194,56 @@ class TestLocalUpdate:
                 kd_trace.append(scale * kd)
         assert nn.params_equal(ours, params)
         assert stats.kd == kd_trace
+
+    @pytest.mark.parametrize("kd_weight", [0.0, 0.7])
+    @pytest.mark.parametrize("tau_squared", [False, True])
+    @pytest.mark.parametrize("gen", ["off", "per-epoch", "per-batch"])
+    def test_matches_per_batch_oracle_bitwise(self, kd_weight, tau_squared, gen):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(37, 4))
+        y = rng.integers(0, 3, size=37)
+        model = make_random_model(141, [4, 6, 3], 1)
+        teacher = make_random_model(241, [4, 6, 3], 1)
+        cfg = ExperimentConfig(
+            local_epochs=3, batch_size=8, kd_weight=kd_weight, temperature=3.0,
+            kd_tau_squared=tau_squared, gen_weight=0.0 if gen == "off" else 0.3,
+            syn_per_batch=gen == "per-batch",
+        )
+        batch_fn = lambda epoch: data.batches(len(x), cfg.batch_size, epoch_seed=epoch)
+
+        def synth():
+            gen_model = make_random_model(341, [5, 6], 0)
+            return generator.LocalSynthesizer(gen_model, 3, len(x), cfg.local_epochs, 8, seed=9)
+
+        ours = trainer.local_update(model, teacher, x, y, batch_fn, cfg, synth=synth())
+        oracle = per_batch_oracle(model, teacher, x, y, batch_fn, cfg, synth=synth())
+        assert nn.params_equal(ours[0], oracle[0])
+        assert ours[1] == oracle[1]
+
+    @pytest.mark.parametrize("kd_weight", [0.0, 0.5])
+    def test_targets_checked_once_per_call(self, monkeypatch, kd_weight):
+        x, y, model, teacher = self.setup_inputs(19)
+        real_target_rows = nn.target_rows
+        seen = []
+
+        def counting_target_rows(targets, n_rows, n_cols):
+            seen.append(np.asarray(targets).ndim)
+            return real_target_rows(targets, n_rows, n_cols)
+
+        monkeypatch.setattr(nn, "target_rows", counting_target_rows)
+        cfg = ExperimentConfig(local_epochs=4, kd_weight=kd_weight)
+        batch_fn = lambda epoch: [np.arange(4), np.arange(4, 8)]
+        trainer.local_update(model, teacher, x, y, batch_fn, cfg)
+        # the labels, then the teacher's probability rows
+        assert seen == ([1, 2] if kd_weight else [1])
+
+    def test_bad_labels_rejected_before_any_step(self):
+        x, y, model, teacher = self.setup_inputs(21)
+        cfg = ExperimentConfig(local_epochs=1)
+        with pytest.raises(ParameterError, match="integers"):
+            trainer.local_update(model, teacher, x, y.astype(float), whole_batch(x), cfg)
+        with pytest.raises(ShapeError):
+            trainer.local_update(model, teacher, x, y[:-1], whole_batch(x), cfg)
 
     def test_teacher_forward_runs_once_per_call(self, monkeypatch):
         x, y, model, teacher = self.setup_inputs(17)
@@ -269,6 +362,10 @@ class TestLocalUpdate:
         cfg = ExperimentConfig(local_epochs=1, gen_weight=0.01)
         with pytest.raises(ConfigError):
             trainer.local_update(model, None, x, y, lambda epoch: [], cfg)
+        with pytest.raises(ConfigError):
+            trainer.local_update(
+                model, None, x, y, lambda epoch: [np.arange(8), np.arange(0)], cfg
+            )
 
 
 class TestEvaluate:
