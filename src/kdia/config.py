@@ -11,6 +11,7 @@ list with a single master seed.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -81,7 +82,8 @@ class ExperimentConfig:
     """Flat experiment settings with the protocol's reference defaults.
 
     Building one brings every key to its declared type (text is parsed) and
-    checks its range; a failing key raises ``ConfigError`` naming it."""
+    checks its range, float keys being finite; a failing key raises
+    ``ConfigError`` naming it."""
 
     # synthetic dataset
     n_classes: int = 10
@@ -129,7 +131,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            setattr(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
+            value = _typed(f.name, f.type, getattr(self, f.name))
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            setattr(self, f.name, value)
         for rule, holds, keys in _RANGES:
             for key in keys:
                 value = getattr(self, key)

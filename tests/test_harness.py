@@ -114,6 +114,8 @@ class TestParseConfig:
             ("gen_batches", "0"), ("gen_batch_size", "0"), ("noise_dim", "0"),
             ("diversity_weight", "-1"), ("diversity_epsilon", "0"),
             ("gen_learning_rate", "0"), ("gen_weight_decay", "-1e-5"),
+            ("learning_rate", "inf"), ("spread", "inf"), ("part_floor", "inf"),
+            ("kd_weight", "inf"), ("separation", "-inf"), ("gen_weight", "inf"),
         ],
     )
     def test_out_of_range_value_names_key(self, key, value):
@@ -399,11 +401,15 @@ class TestCli:
             (["similarity", "--gen-checkpoint", "{tmp}/student.ckpt"], "student.ckpt"),
             (["similarity", "--reference-epochs", "-1"], "--reference-epochs"),
             (["gradcheck", "--instances", "0"], "--instances"),
-            # an infinite floor makes every teacher weight NaN
+            # non-finite floats fail when the config is built, before any data
             (["run", "--part-floor", "inf", "--rounds", "1", "--seeds", "0",
-              "--out-dir", "{tmp}"], "weight 0 is nan"),
+              "--out-dir", "{tmp}"], "part_floor"),
             # at the defaults, before 100 reference epochs and 200 rounds
             (["similarity", "--disable-gen"], "generator disabled"),
+            (["run", "--learning-rate", "inf", "--rounds", "1", "--seeds", "0",
+              "--out-dir", "{tmp}"], "learning_rate"),
+            (["run", "--spread", "inf", "--rounds", "1", "--seeds", "0",
+              "--out-dir", "{tmp}"], "spread"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
