@@ -38,9 +38,22 @@ def _collect_config(args) -> ExperimentConfig:
     return parse_config(args.config, overrides)
 
 
+def _make_out_dir(path) -> None:
+    """Create the ``--out-dir`` directory unless it exists; a path that
+    cannot be one (an existing regular file, say) is a ``ConfigError``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out-dir {path}: not a directory") from exc
+
+
 def _cmd_run(args) -> int:
     cfg = _collect_config(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    if args.checkpoint_interval < 0:
+        raise ConfigError(
+            f"--checkpoint-interval must be >= 0, got {args.checkpoint_interval}"
+        )
+    _make_out_dir(args.out_dir)
     for seed in cfg.seeds:
         hook = None
         if args.checkpoint_interval > 0:
@@ -72,6 +85,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _collect_config(args)
+    _make_out_dir(args.out_dir)
     values = [v for v in args.values.split(",") if v.strip()]
     written = harness.sweep(cfg, args.axis, values, args.out_dir)
     for value, per_seed in written.items():
@@ -123,7 +137,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_fedavg_ref(args) -> int:
     cfg = _collect_config(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     for seed in cfg.seeds:
         run = orchestrator.fedavg_reference(cfg, seed)
         records = [

@@ -180,10 +180,11 @@ _KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Resolve a config from an optional key=value file plus overrides.
 
-    Unknown keys are rejected by name. ``KDIA_SEED`` in the environment
-    replaces the seed list.
+    Unknown keys, and keys set twice in the file, are rejected by name.
+    ``KDIA_SEED`` in the environment replaces the seed list.
     """
     values: dict = {}
+    set_on: dict = {}  # key -> the file line that set it
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -203,7 +204,11 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             key = key.strip()
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = raw
+            if key in set_on:
+                raise ConfigError(
+                    f"{path}: {key!r} set twice, on lines {set_on[key]} and {lineno}"
+                )
+            values[key], set_on[key] = raw, lineno
     for key, value in (overrides or {}).items():
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")

@@ -44,12 +44,13 @@ class ClientLedger:
         self.part_counts = np.zeros(self.n_clients, dtype=np.int64)
 
     def record_round(self, selected, t: int) -> None:
-        sel = np.asarray(sorted(selected), dtype=np.int64)
+        sel = np.sort(np.asarray(selected, dtype=np.int64))
         if sel.size == 0:
             raise ConfigError("selected set must be nonempty")
-        if np.unique(sel).size != sel.size:
+        # sorted, so a repeated id sits next to itself
+        if (sel[1:] == sel[:-1]).any():
             raise ConfigError("duplicate client ids in selected set")
-        if sel.min() < 0 or sel.max() >= self.n_clients:
+        if sel[0] < 0 or sel[-1] >= self.n_clients:
             raise ConfigError("client id outside [0, N)")
         self.last_round[sel] = t
         self.part_counts[sel] += 1

@@ -12,7 +12,9 @@ Each classifier part is one dense layer, and the ensemble weights are the
 student's aggregation weights, so the ensemble's logits are those of the
 student aggregate's classifier head: every step runs that head forward and
 back. The loop trains a copy of the generator in place, reusing one input
-buffer and writing the loss traces into preallocated arrays. Its settings
+buffer and writing the loss traces into preallocated arrays. The label pool
+is checked once per call, and each step's cross-entropy reads its one-hot
+rows from that input buffer. Its settings
 are the ``gen_*``, ``diversity_*`` and ``eq3_literal`` keys of the
 experiment's ``ExperimentConfig``, range-checked when that config was built.
 
@@ -138,6 +140,8 @@ def train_generator(
     noise_dim = gen.input_width - n_classes
     steps = cfg.gen_epochs * cfg.gen_batches
     pool = sample_label_pool(steps, n_classes, rng)
+    # checked once: each step's one-hot rows are then read from the input buffer
+    nn.target_rows(pool, len(pool), n_classes)
     gen = gen.copy()
     state = nn.adam_state(gen, cfg.gen_learning_rate, cfg.gen_weight_decay)
     ce_trace, div_trace = np.empty(steps), np.empty(steps)
@@ -158,7 +162,7 @@ def train_generator(
             pre, gen_inputs = nn.forward_layers(gen.layers, stacked)
             feats = np.maximum(pre, 0.0)
             logits, _ = nn.forward_layers([(w, b)], feats)
-            ce, grad_logits = nn.softmax_ce_loss(logits, labels)
+            ce, grad_logits = nn.tempered_ce(logits, stacked[:, noise_dim:])
             grad_feats = grad_logits @ w.T
             div, grad_div = diversity_loss(noise, feats, cfg.diversity_epsilon)
             grad_feats += cfg.diversity_weight * grad_div

@@ -109,9 +109,10 @@ def train_centralized_reference(
         return np.split(order, range(cfg.batch_size, len(ds), cfg.batch_size))
 
     reference_cfg = dataclasses.replace(cfg, local_epochs=epochs)
-    return trainer.local_update(
-        model, None, ds.features, ds.labels, batch_fn, reference_cfg
-    )[0]
+    (reference,), _ = trainer.local_update(
+        model, None, ds.features, ds.labels, [trainer.Client(np.arange(len(ds)), batch_fn)], reference_cfg
+    )
+    return reference
 
 
 def mean_cosine(real: np.ndarray, generated: np.ndarray) -> float:

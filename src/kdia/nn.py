@@ -22,6 +22,15 @@ Cross-entropy has one implementation, ``tempered_ce``, which checks nothing;
 float64 rows it reads. ``softmax_ce_loss`` runs both on every call. A caller
 whose targets stay fixed over many steps (the local trainer) checks them once
 with ``target_rows`` and calls ``tempered_ce`` on slices of the result.
+
+A model's flat vector may carry a leading stack axis: ``flat`` shaped
+``(G, P)`` holds G models of one layout, each layer's weight view is then
+``(G, in, out)`` and its bias ``(G, out)``. ``forward_layers``,
+``backward_layers``, ``tempered_ce`` and ``optimizer_step`` take such stacks
+as they take one model, batches shaped ``(G, rows, width)``: every matmul and
+reduction runs per model, over the same per-model memory layout, so each
+model's numbers are the bits it gets on its own. The local trainer steps a
+round's clients this way.
 """
 
 from __future__ import annotations
@@ -38,11 +47,14 @@ CHECKPOINT_MAGIC = b"KDIA1"
 
 def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(weight, bias)`` views into ``flat`` for the weight ``shapes``, in
-    order: per layer the row-major weight, then its bias."""
-    views, pos = [], 0
+    order: per layer the row-major weight, then its bias. Leading axes of
+    ``flat`` lead every view."""
+    views, pos, lead = [], 0, flat.shape[:-1]
     for rows, cols in shapes:
         end = pos + rows * cols
-        views.append((flat[pos:end].reshape(rows, cols), flat[end : end + cols]))
+        views.append(
+            (flat[..., pos:end].reshape(lead + (rows, cols)), flat[..., end : end + cols])
+        )
         pos = end + cols
     return views
 
@@ -56,7 +68,7 @@ class ModelParams:
     other. Layers ``[0, split_index)`` form the feature extractor and
     ``[split_index, n)`` the classifier. ``layout`` is
     ``(weight shapes, split_index)``; models with equal layouts share one
-    architecture.
+    architecture. ``from_flat`` also takes a ``(G, P)`` stack of G models.
     """
 
     def __init__(self, layers, split_index: int):
@@ -96,7 +108,7 @@ class ModelParams:
                     f"output width {shapes[i - 1][1]}"
                 )
         size = sum(rows * cols + cols for rows, cols in shapes)
-        if flat.shape != (size,):
+        if flat.ndim not in (1, 2) or flat.shape[-1] != size:
             raise ShapeError(f"flat vector {flat.shape} for {size} parameters")
         self.flat, self.split_index = flat, split_index
         self.layout = (shapes, split_index)
@@ -104,7 +116,7 @@ class ModelParams:
 
     @property
     def input_width(self) -> int:
-        return self.layers[0][0].shape[0]
+        return self.layers[0][0].shape[-2]
 
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.flat.copy(), self.layout)
@@ -135,21 +147,23 @@ def forward_layers(layers, batch, first_index: int = 0):
     Returns ``(out, inputs)``: ``out`` is the last layer's pre-activation
     output and ``inputs[i]`` the batch layer ``i`` saw (post-ReLU for
     ``i > 0``). ``first_index`` is the model index of ``layers[0]``, used to
-    name the layer in shape errors.
+    name the layer in shape errors. A stack of G models' layers takes a
+    ``(G, rows, width)`` batch, one slice per model.
     """
     if not layers:
         raise ShapeError("model has no layers on the requested path")
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"batch must be 2-D, got shape {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"batch must be 2-D or a 3-D stack, got shape {x.shape}")
     inputs = [x]
     for i, (w, b) in enumerate(layers):
-        if x.shape[1] != w.shape[0]:
+        if x.shape[-1] != w.shape[-2]:
             raise ShapeError(
-                f"layer {first_index + i}: batch width {x.shape[1]} != "
-                f"layer input width {w.shape[0]}"
+                f"layer {first_index + i}: batch width {x.shape[-1]} != "
+                f"layer input width {w.shape[-2]}"
             )
-        z = x @ w + b
+        z = x @ w
+        z += b[..., None, :]
         if i < len(layers) - 1:
             x = np.maximum(z, 0.0)
             inputs.append(x)
@@ -168,18 +182,20 @@ def backward_layers(layers, inputs, grad_out: np.ndarray) -> np.ndarray:
     ran over (the whole model, or just the classifier part), so classifier
     gradients line up with the tail of a whole-model vector. The pass stops
     at the first layer's weight gradient. NaN/Inf anywhere in the chain
-    reaches that vector, which is checked once.
+    reaches that vector, which is checked once. For a stack of G models the
+    result is ``(G, P)``, a row per model.
     """
-    flat = np.empty(sum(w.size + b.size for w, b in layers))
-    grads = _layer_views(flat, [w.shape for w, _ in layers])
+    shapes = [w.shape[-2:] for w, _ in layers]
+    flat = np.empty(grad_out.shape[:-2] + (sum(r * c + c for r, c in shapes),))
+    grads = _layer_views(flat, shapes)
     delta = grad_out
     for i in reversed(range(len(layers))):
         gw, gb = grads[i]
-        np.matmul(inputs[i].T, delta, out=gw)
-        delta.sum(axis=0, out=gb)
+        np.matmul(inputs[i].swapaxes(-1, -2), delta, out=gw)
+        delta.sum(axis=-2, out=gb)
         if i > 0:
             # inputs[i] is the post-ReLU output of layer i-1
-            delta = (delta @ layers[i][0].T) * (inputs[i] > 0.0)
+            delta = (delta @ layers[i][0].swapaxes(-1, -2)) * (inputs[i] > 0.0)
     if not np.isfinite(flat).all():
         raise ArithmeticError("backward pass produced non-finite values")
     return flat
@@ -276,23 +292,25 @@ def tempered_ce(
     (the 1/batch and 1/temperature factors included).
 
     Nothing is checked: callers pass rows that ``target_rows`` accepted and
-    a ``temperature > 0``. ``row_max`` is ``logits.max(axis=1)`` if the
+    a ``temperature > 0``. ``row_max`` is ``logits.max(axis=-1)`` if the
     caller already has it; one row max serves every temperature exactly,
     because rounding is monotone: ``fl(max l) / T == max fl(l / T)``.
+    A ``(G, rows, classes)`` stack gives a ``(G,)`` array of losses, one per
+    slice, and the stacked gradient.
     """
-    n = logits.shape[0]
+    n = logits.shape[-2]
     if row_max is None:
-        row_max = logits.max(axis=1)
+        row_max = logits.max(axis=-1)
     if temperature != 1.0:
         logits, row_max = logits / temperature, row_max / temperature
-    z = logits - row_max[:, None]
+    z = logits - row_max[..., None]
     # z becomes the log-probabilities
-    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = float(-(rows * z).sum() / n)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    loss = -(rows * z).sum(axis=(-2, -1)) / n
     grad = np.exp(z)
     grad -= rows
     grad /= n * temperature
-    return loss, grad
+    return (float(loss) if logits.ndim == 2 else loss), grad
 
 
 def softmax_ce_loss(
@@ -367,7 +385,8 @@ def optimizer_step(
 ) -> None:
     """One update step, in place: writes ``params.flat``, the slots of
     ``state`` and its ``step_count``. ``grads`` is a flat gradient in
-    ``params.flat`` order and is left untouched.
+    ``params.flat`` order and is left untouched. A ``(G, P)`` stack steps
+    its G models elementwise, with slots of the same shape.
 
     Weight decay is coupled for both optimizers: ``wd * theta`` is added to
     the raw gradient before any momentum/moment bookkeeping. Adam applies

@@ -5,7 +5,9 @@ and evaluate both models.
 Everything is driven by one master seed through per-purpose seed streams
 (data, init, sampling, batches, synthesis, generator), so a serial rerun is
 bit-for-bit reproducible and disabling one component never shifts the random
-streams of another. Client updates are merged in ascending client id.
+streams of another. The round's clients train together in one
+``trainer.local_update`` call, and their updates are merged in ascending
+client id.
 
 ``fedavg_reference`` is a deliberately separate, plain implementation of the
 classic averaging round used to check that the full machinery degenerates to
@@ -158,8 +160,7 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
     selected = sample_clients(
         cfg.n_clients, cfg.sample_ratio, seed_for(state.master_seed, _TAG_SAMPLE, t)
     )
-    updates = []
-    all_stats = []
+    clients = []
     for k in selected:
         rows = state.partition.client_indices[k]
         synth = None
@@ -172,20 +173,20 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
                 cfg.batch_size,
                 seed=seed_for(state.master_seed, _TAG_SYNTH, t, k),
             )
-        try:
-            updated, stats = trainer.local_update(
-                state.student,
-                state.teacher,
-                state.train_ds.features[rows],
-                state.train_ds.labels[rows],
-                _client_batch_fn(state, t, int(k)),
-                cfg,
-                synth=synth,
-            )
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"round {t}, client {k}, local update: {exc}") from exc
-        updates.append(updated)
-        all_stats.append(stats)
+        clients.append(trainer.Client(rows, _client_batch_fn(state, t, int(k)), synth))
+    try:
+        updates, all_stats = trainer.local_update(
+            state.student,
+            state.teacher,
+            state.train_ds.features,
+            state.train_ds.labels,
+            clients,
+            cfg,
+        )
+    except trainer.ClientError as exc:
+        raise ArithmeticError(
+            f"round {t}, client {selected[exc.index]}, local update: {exc}"
+        ) from exc
 
     state.ledger.record_round(selected, t)
     weights = freqs.round_weights(

@@ -4,19 +4,36 @@ the frozen teacher, and the generator-auxiliary term on synthetic features.
 One SGD-momentum step runs per real batch. The teacher's tempered softmax on
 the same batch supervises the student's tempered softmax. The teacher and
 the client's rows stay fixed for the whole update, so that softmax is
-computed once over all of the client's rows and indexed per batch; softmax
+computed once per client over all of its rows and indexed per batch; softmax
 works row by row, so these are the per-batch targets up to the rounding of
 the teacher's matmul. Synthetic feature batches enter through the
 classifier-only path. By default one synthetic batch is drawn per epoch and
 reused across that epoch's real batches, with ``syn_per_batch`` available to
 resample per real batch instead.
 
+``local_update`` trains all of a round's clients in lockstep. At every tick
+each client that still has batches takes its next one, and the clients whose
+batches have the same row count (and synthetic batches the same row count)
+run one stacked step: the ``nn`` kernels over ``(G, rows, width)`` arrays,
+one slice per client. Every client's arithmetic is the one it would run on
+its own, so the results are bit-identical to training the clients one after
+another. A short batch is never padded, because matmul rows depend on the
+row count: it steps with the clients whose batch has its row count at that
+tick, or as a group of one. Each client keeps its own batch and synthesis
+streams and draws from them in order. The working set is the clients' rows
+and checked targets, the current epoch's batches and one step's stacked
+arrays.
+
 The client's labels and the teacher's soft targets are checked by
-``nn.target_rows`` once per update, and every batch reads its rows from
-those checked arrays. Each step takes the student logits' row max once and
-runs ``nn.tempered_ce`` on it twice, at temperature 1 for the labels and at
-the distillation temperature for the teacher's targets; the synthetic
-labels change with every draw and go through ``nn.softmax_ce_loss``.
+``nn.target_rows`` once per update, and so are the labels of every synthetic
+draw; each step reads its rows from those checked arrays. Each step takes
+the student logits' row max once and runs ``nn.tempered_ce`` on it twice, at
+temperature 1 for the labels and at the distillation temperature for the
+teacher's targets.
+
+A client whose update fails (a non-finite value, say) is reported as the
+serial loop would report it: the lowest-indexed client that fails, with its
+own first error. Clients after it stop at once; the ones before it finish.
 
 The settings are read from the experiment's ``ExperimentConfig`` by their
 key names; their ranges were checked when that config was built.
@@ -25,12 +42,13 @@ key names; their ranges were checked when that config was built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import nn
 from .config import ExperimentConfig
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, ShapeError
 
 
 @dataclass
@@ -73,78 +91,183 @@ def _kd_scale(kd_weight: float, temperature: float, tau_squared: bool) -> float:
     return kd_weight * (temperature**2 if tau_squared else 1.0)
 
 
+@dataclass
+class Client:
+    """One client of a lockstep ``local_update``: ``rows`` indexes its rows
+    in the shared features and labels, ``batch_fn(epoch)`` returns that
+    epoch's list of batches (arrays of positions in ``range(len(rows))``),
+    and ``synth`` (anything with ``draw()``, or None) provides its synthetic
+    feature batches."""
+
+    rows: np.ndarray
+    batch_fn: Callable
+    synth: object = None
+
+
+class ClientError(ArithmeticError):
+    """The local update of ``clients[index]`` went non-finite; the message is
+    the original error's, which is chained as the cause."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def local_update(
     global_params: nn.ModelParams,
     teacher_params: nn.ModelParams | None,
     features: np.ndarray,
     labels: np.ndarray,
-    batch_fn,
+    clients,
     cfg: ExperimentConfig,
-    synth=None,
-) -> tuple[nn.ModelParams, LocalStats]:
-    """Run the local epochs over the client's rows ``features``/``labels``
-    and return the client's updated model.
+) -> tuple[list, list]:
+    """Run the local epochs of every ``Client`` in ``clients`` from
+    ``global_params`` and return ``(models, stats)``, one entry per client.
 
-    ``batch_fn(epoch)`` returns that epoch's list of batches, each an array
-    of row positions; ``synth`` (anything with ``draw()``) provides synthetic
-    feature batches and may be None. The KD term runs only with a teacher
-    and the generator term only with ``synth``, each when its weight in
-    ``cfg`` is positive. Teacher and generator are read-only throughout, so
-    the teacher's soft targets are computed once, over all of the rows.
+    ``features``/``labels`` hold the rows that the clients index. The KD
+    term runs only with a teacher and the generator term only for clients
+    with a ``synth``, each when its weight in ``cfg`` is positive. Teacher
+    and generator are read-only throughout.
+    A failing client raises its error once the clients before it have
+    finished; an ``ArithmeticError`` comes as ``ClientError`` naming the
+    client's index.
     """
-    params = global_params.copy()
-    stats = LocalStats()
+    layout, split = global_params.layout, global_params.split_index
+    features, labels = np.asarray(features, dtype=np.float64), np.asarray(labels)
+    if len(labels) != len(features):
+        raise ShapeError(f"{len(features)} feature rows but {len(labels)} labels")
+    # one block of the clients' rows back to back: each client's rows are a slice
+    order = np.concatenate([c.rows for c in clients])
+    features, labels = features[order], labels[order]
+    offsets = np.cumsum([0] + [len(c.rows) for c in clients])
+    # one row of parameters and one of velocity per client
+    theta = np.tile(global_params.flat, (len(clients), 1))
+    stats = [LocalStats() for _ in clients]
+    models = [nn.ModelParams.from_flat(row, layout) for row in theta]
     if cfg.local_epochs == 0:
-        return params, stats
-    state = nn.sgd_state(
-        params, cfg.learning_rate, cfg.momentum, cfg.weight_decay
-    )
+        return models, stats
+    vel = np.zeros_like(theta)
     use_kd = teacher_params is not None and cfg.kd_weight > 0.0
-    use_gen = synth is not None and cfg.gen_weight > 0.0
-    split = params.split_index
-    head = params.layers[split:]
-    n_rows, n_classes = len(features), params.layers[-1][0].shape[1]
-    onehot = nn.target_rows(labels, n_rows, n_classes)
-    if use_kd:
-        teacher_probs = nn.target_rows(
-            nn.softmax(nn.forward(teacher_params, features), cfg.temperature),
-            n_rows,
-            n_classes,
-        )
-        kd_scale = _kd_scale(cfg.kd_weight, cfg.temperature, cfg.kd_tau_squared)
-    for epoch in range(cfg.local_epochs):
-        real_batches = batch_fn(epoch)
-        if not real_batches or min(map(len, real_batches)) == 0:
-            raise ConfigError("client has no data batches, or an empty one")
-        if use_gen and not cfg.syn_per_batch:
-            syn_x, syn_y = synth.draw()
-        for pos in real_batches:
-            logits, inputs = nn.forward_layers(params.layers, features[pos])
-            row_max = logits.max(axis=1)
-            ce, grad_logits = nn.tempered_ce(logits, onehot[pos], 1.0, row_max)
-            kd = 0.0
+    n_classes = global_params.layers[-1][0].shape[1]
+    kd_scale = _kd_scale(cfg.kd_weight, cfg.temperature, cfg.kd_tau_squared)
+    failed: dict = {}
+    # checked targets, in the same row order
+    onehot = np.empty((len(order), n_classes))
+    probs = np.empty((len(order), n_classes)) if use_kd else None
+    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        try:
+            onehot[lo:hi] = nn.target_rows(labels[lo:hi], hi - lo, n_classes)
             if use_kd:
-                kd, kd_grad = nn.tempered_ce(
-                    logits, teacher_probs[pos], cfg.temperature, row_max
+                logits = nn.forward(teacher_params, features[lo:hi])
+                probs[lo:hi] = nn.target_rows(
+                    nn.softmax(logits, cfg.temperature), hi - lo, n_classes
                 )
-                kd = kd_scale * kd
-                grad_logits = grad_logits + kd_scale * kd_grad
-            grads = nn.backward_layers(params.layers, inputs, grad_logits)
-            gen = 0.0
-            if use_gen:
-                if cfg.syn_per_batch:
-                    syn_x, syn_y = synth.draw()
-                syn_logits, syn_inputs = nn.forward_layers(head, syn_x, split)
-                gen_ce, gen_grad = nn.softmax_ce_loss(syn_logits, syn_y)
-                gen = cfg.gen_weight * gen_ce
-                cgrads = nn.backward_layers(head, syn_inputs, cfg.gen_weight * gen_grad)
-                # the classifier layers are the tail of the flat vector
-                grads[-cgrads.size :] += cgrads
-            nn.optimizer_step(params, grads, state)
-            stats.ce.append(ce)
-            stats.kd.append(kd)
-            stats.gen.append(gen)
-    return params, stats
+        except (ArithmeticError, ValueError) as exc:
+            failed[i] = exc  # raised once the clients before it finish
+            break
+
+    def step(th, v, rows, syn):
+        """One SGD step of the ``(G, P)`` models ``th`` (velocities ``v``)
+        on the ``(G, M)`` block positions ``rows`` and the stacked
+        synthetic batch ``syn``; returns the (G,) ce, kd and gen terms."""
+        model = nn.ModelParams.from_flat(th, layout)
+        logits, inputs = nn.forward_layers(model.layers, features[rows])
+        row_max = logits.max(axis=-1)
+        ce, grad_logits = nn.tempered_ce(logits, onehot[rows], 1.0, row_max)
+        kd = gen = None
+        if use_kd:
+            kd, kd_grad = nn.tempered_ce(logits, probs[rows], cfg.temperature, row_max)
+            kd = kd_scale * kd
+            grad_logits = grad_logits + kd_scale * kd_grad
+        grads = nn.backward_layers(model.layers, inputs, grad_logits)
+        if syn is not None:
+            head = model.layers[split:]
+            syn_logits, syn_inputs = nn.forward_layers(head, syn[0], split)
+            gen_ce, gen_grad = nn.tempered_ce(syn_logits, syn[1])
+            gen = cfg.gen_weight * gen_ce
+            cgrads = nn.backward_layers(head, syn_inputs, cfg.gen_weight * gen_grad)
+            # the classifier layers are the tail of the flat vector
+            grads[..., -cgrads.shape[-1] :] += cgrads
+        state = nn.OptimizerState(
+            "sgd", cfg.learning_rate, cfg.weight_decay, momentum=cfg.momentum, slots=(v,)
+        )
+        nn.optimizer_step(model, grads, state)
+        return ce, kd, gen
+
+    def draw(i):
+        syn_x, syn_y = clients[i].synth.draw()
+        return syn_x, nn.target_rows(syn_y, len(syn_x), n_classes)
+
+    # per client: its epoch, that epoch's batches as block positions, the
+    # index of the next one, and its current synthetic batch
+    n = len(clients)
+    epoch, batches, nxt, syn = [-1] * n, [()] * n, [0] * n, {}
+    gens = [cfg.gen_weight > 0.0 and c.synth is not None for c in clients]
+    active = range(min(failed, default=len(clients)))
+    while active:
+        groups: dict = {}
+        for i in active:
+            try:
+                if nxt[i] == len(batches[i]):
+                    epoch[i] += 1
+                    if epoch[i] == cfg.local_epochs:
+                        continue
+                    real = clients[i].batch_fn(epoch[i])
+                    if not real or min(map(len, real)) == 0:
+                        raise ConfigError("client has no data batches, or an empty one")
+                    batches[i], nxt[i] = [offsets[i] + pos for pos in real], 0
+                    if gens[i] and not cfg.syn_per_batch:
+                        syn[i] = draw(i)
+                if gens[i] and cfg.syn_per_batch:
+                    syn[i] = draw(i)
+            except (ArithmeticError, ValueError) as exc:
+                failed[i] = exc  # raised once the clients before it finish
+                break
+            rows = batches[i][nxt[i]]
+            nxt[i] += 1
+            key = (len(rows), len(syn[i][0]) if gens[i] else 0)
+            groups.setdefault(key, []).append((i, rows))
+        for members in groups.values():
+            ids = [i for i, _ in members]
+            rows = np.concatenate([r for _, r in members]).reshape(len(ids), -1)
+            stacked = None
+            if gens[ids[0]]:
+                stacked = tuple(np.stack([syn[i][k] for i in ids]) for k in (0, 1))
+            # consecutive clients step views of their rows in place; others
+            # step a gathered copy that is written back
+            gathered = ids[-1] - ids[0] != len(ids) - 1
+            if gathered:
+                index = np.array(ids)
+                th, v = theta[index], vel[index]
+            else:
+                th, v = theta[ids[0] : ids[-1] + 1], vel[ids[0] : ids[-1] + 1]
+            try:
+                traces = [(ids, step(th, v, rows, stacked))]
+            except (ArithmeticError, ValueError):
+                # find who failed, and with what, one client at a time
+                traces = []
+                for g, i in enumerate(ids):
+                    one = slice(g, g + 1)
+                    syn_g = None if stacked is None else (stacked[0][one], stacked[1][one])
+                    try:
+                        traces.append(([i], step(th[one], v[one], rows[one], syn_g)))
+                    except (ArithmeticError, ValueError) as exc:
+                        failed.setdefault(i, exc)
+            if gathered:
+                theta[index], vel[index] = th, v
+            for group, (ce, kd, gen) in traces:
+                for g, i in enumerate(group):
+                    stats[i].ce.append(float(ce[g]))
+                    stats[i].kd.append(0.0 if kd is None else float(kd[g]))
+                    stats[i].gen.append(0.0 if gen is None else float(gen[g]))
+        stop = min(failed, default=len(clients))
+        active = [i for i in active if i < stop and epoch[i] < cfg.local_epochs]
+    if failed:
+        i = min(failed)
+        if isinstance(failed[i], ArithmeticError):
+            raise ClientError(i, str(failed[i])) from failed[i]
+        raise failed[i]
+    return models, stats
 
 
 def evaluate(params: nn.ModelParams, features: np.ndarray, labels: np.ndarray) -> float:

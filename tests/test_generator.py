@@ -248,6 +248,20 @@ class TestTrainGenerator:
         assert nn.params_equal(literal, plain)
         assert np.array_equal(lt["ce"], pt["ce"])
 
+    def test_label_pool_checked_once_per_call(self, monkeypatch):
+        real_target_rows = nn.target_rows
+        seen = []
+
+        def counting_target_rows(targets, n_rows, n_cols):
+            seen.append((n_rows, n_cols))
+            return real_target_rows(targets, n_rows, n_cols)
+
+        monkeypatch.setattr(nn, "target_rows", counting_target_rows)
+        cfg = small_cfg(gen_epochs=3, gen_batches=4)
+        generator.train_generator(make_generator(35), make_snapshot(36), 2, cfg, seed=1)
+        # the whole pool, one label per step, never a single batch
+        assert seen == [(12, 3)]
+
     def test_deeper_head_rejected(self):
         gen = make_generator(31, n_classes=3, feature_dim=6)
         deep = make_random_model(32, [4, 6, 5, 3], 1)

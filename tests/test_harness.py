@@ -54,6 +54,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_cleints"):
             parse_config(path)
 
+    def test_key_set_twice_names_file_and_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("rounds = 1\nbeta = 0.5\n# rounds = 3\nrounds = 2\n")
+        with pytest.raises(ConfigError, match=r"twice\.cfg: 'rounds' set twice, on lines 1 and 4"):
+            parse_config(path)
+
     def test_file_parsing_with_comments(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text(
@@ -410,10 +416,20 @@ class TestCli:
               "--out-dir", "{tmp}"], "learning_rate"),
             (["run", "--spread", "inf", "--rounds", "1", "--seeds", "0",
               "--out-dir", "{tmp}"], "spread"),
+            # an output directory that is a regular file, before any run
+            (["run", "--out-dir", "{tmp}/afile"], "--out-dir {tmp}/afile"),
+            (["sweep", "--axis", "C", "--values", "0.5", "--out-dir", "{tmp}/afile"],
+             "--out-dir {tmp}/afile"),
+            (["fedavg-ref", "--out-dir", "{tmp}/afile"], "--out-dir {tmp}/afile"),
+            (["run", "--checkpoint-interval", "-1", "--out-dir", "{tmp}"],
+             "--checkpoint-interval"),
+            (["run", "--config", "{tmp}/twice.cfg", "--out-dir", "{tmp}"], "lines 1 and 2"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
         (tmp_path / "junk.ckpt").write_bytes(b"\xffnot a checkpoint")
+        (tmp_path / "afile").write_text("a file, not a directory\n")
+        (tmp_path / "twice.cfg").write_text("rounds = 1\nrounds = 2\n")
         # a generator from a feature_dim=16 run, and a student, under the default config
         cfg, rng = ExperimentConfig(), np.random.default_rng(0)
         gen16 = generator.init_generator(cfg.noise_dim, cfg.n_classes, 16, cfg.gen_hidden, rng)
@@ -423,7 +439,7 @@ class TestCli:
         rc = cli_main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.count("\n") == 1 and named in err
+        assert err.count("\n") == 1 and named.format(tmp=tmp_path) in err
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

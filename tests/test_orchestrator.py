@@ -184,14 +184,12 @@ class TestNonFiniteContext:
         cfg = tiny_cfg(rounds=1, disable_kd=True)
         second = orchestrator.run_round(orchestrator.build_state(cfg, 0), 0).selected[1]
         real_update = trainer.local_update
-        calls = []
 
         def update_with_nan_head(*args, **kwargs):
-            params, stats = real_update(*args, **kwargs)
-            calls.append(1)
-            if len(calls) == 2:
-                params.layers[params.split_index][0][0, 0] = np.nan
-            return params, stats
+            updates, stats = real_update(*args, **kwargs)
+            params = updates[1]
+            params.layers[params.split_index][0][0, 0] = np.nan
+            return updates, stats
 
         monkeypatch.setattr(trainer, "local_update", update_with_nan_head)
         with pytest.raises(
@@ -219,14 +217,11 @@ class TestNonFiniteContext:
         cfg = tiny_cfg(rounds=1, disable_kd=True, disable_gen=True)
         third = orchestrator.run_round(orchestrator.build_state(cfg, 0), 0).selected[2]
         real_update = trainer.local_update
-        calls = []
 
         def update_with_inf(*args, **kwargs):
-            params, stats = real_update(*args, **kwargs)
-            calls.append(1)
-            if len(calls) == 3:
-                params.flat[-1] = np.inf
-            return params, stats
+            updates, stats = real_update(*args, **kwargs)
+            updates[2].flat[-1] = np.inf
+            return updates, stats
 
         monkeypatch.setattr(trainer, "local_update", update_with_inf)
         with pytest.raises(

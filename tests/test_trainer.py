@@ -139,6 +139,14 @@ def whole_batch(x):
     return lambda epoch: [np.arange(len(x))]
 
 
+def update_one(model, teacher, x, y, batch_fn, cfg, synth=None):
+    """``local_update`` on one client that owns every row."""
+    (params,), (stats,) = trainer.local_update(
+        model, teacher, x, y, [trainer.Client(np.arange(len(x)), batch_fn, synth)], cfg
+    )
+    return params, stats
+
+
 class TestLocalUpdate:
     def setup_inputs(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -153,7 +161,7 @@ class TestLocalUpdate:
         cfg = ExperimentConfig(
             local_epochs=3, kd_weight=0.0, gen_weight=0.0
         )
-        ours, _ = trainer.local_update(model, None, x, y, whole_batch(x), cfg)
+        ours, _ = update_one(model, None, x, y, whole_batch(x), cfg)
 
         # independent plain loop over the same primitives
         params = model.copy()
@@ -176,7 +184,7 @@ class TestLocalUpdate:
             kd_tau_squared=tau_squared,
         )
         batch_fn = lambda epoch: data.batches(len(x), cfg.batch_size, epoch_seed=epoch)
-        ours, stats = trainer.local_update(model, teacher, x, y, batch_fn, cfg)
+        ours, stats = update_one(model, teacher, x, y, batch_fn, cfg)
 
         # the teacher's tempered softmax over every row of the client, once
         targets = nn.softmax(nn.forward(teacher, x), cfg.temperature)
@@ -215,7 +223,7 @@ class TestLocalUpdate:
             gen_model = make_random_model(341, [5, 6], 0)
             return generator.LocalSynthesizer(gen_model, 3, len(x), cfg.local_epochs, 8, seed=9)
 
-        ours = trainer.local_update(model, teacher, x, y, batch_fn, cfg, synth=synth())
+        ours = update_one(model, teacher, x, y, batch_fn, cfg, synth=synth())
         oracle = per_batch_oracle(model, teacher, x, y, batch_fn, cfg, synth=synth())
         assert nn.params_equal(ours[0], oracle[0])
         assert ours[1] == oracle[1]
@@ -233,7 +241,7 @@ class TestLocalUpdate:
         monkeypatch.setattr(nn, "target_rows", counting_target_rows)
         cfg = ExperimentConfig(local_epochs=4, kd_weight=kd_weight)
         batch_fn = lambda epoch: [np.arange(4), np.arange(4, 8)]
-        trainer.local_update(model, teacher, x, y, batch_fn, cfg)
+        update_one(model, teacher, x, y, batch_fn, cfg)
         # the labels, then the teacher's probability rows
         assert seen == ([1, 2] if kd_weight else [1])
 
@@ -241,9 +249,9 @@ class TestLocalUpdate:
         x, y, model, teacher = self.setup_inputs(21)
         cfg = ExperimentConfig(local_epochs=1)
         with pytest.raises(ParameterError, match="integers"):
-            trainer.local_update(model, teacher, x, y.astype(float), whole_batch(x), cfg)
+            update_one(model, teacher, x, y.astype(float), whole_batch(x), cfg)
         with pytest.raises(ShapeError):
-            trainer.local_update(model, teacher, x, y[:-1], whole_batch(x), cfg)
+            update_one(model, teacher, x, y[:-1], whole_batch(x), cfg)
 
     def test_teacher_forward_runs_once_per_call(self, monkeypatch):
         x, y, model, teacher = self.setup_inputs(17)
@@ -257,13 +265,13 @@ class TestLocalUpdate:
         monkeypatch.setattr(nn, "forward", counting_forward)
         cfg = ExperimentConfig(local_epochs=4)
         batch_fn = lambda epoch: [np.arange(4), np.arange(4, 8)]
-        trainer.local_update(model, teacher, x, y, batch_fn, cfg)
+        update_one(model, teacher, x, y, batch_fn, cfg)
         assert seen == [teacher]
 
     def test_zero_epochs_returns_global_unchanged(self):
         x, y, model, teacher = self.setup_inputs()
         cfg = ExperimentConfig(local_epochs=0, gen_weight=0.01)
-        out, stats = trainer.local_update(model, teacher, x, y, whole_batch(x), cfg)
+        out, stats = update_one(model, teacher, x, y, whole_batch(x), cfg)
         assert nn.params_equal(out, model)
         assert stats.ce == stats.kd == stats.gen == []
 
@@ -286,7 +294,7 @@ class TestLocalUpdate:
             gen_weight=lam_gen,
             temperature=tau,
         )
-        out, stats = trainer.local_update(
+        out, stats = update_one(
             model, teacher, x, y, whole_batch(x), cfg, synth=syn
         )
 
@@ -324,7 +332,7 @@ class TestLocalUpdate:
         teacher_before = teacher.copy()
         syn = StubSynth(np.abs(np.random.default_rng(8).normal(size=(4, 6))), [0, 1, 2, 0])
         cfg = ExperimentConfig(local_epochs=2, gen_weight=0.1)
-        trainer.local_update(model, teacher, x, y, whole_batch(x), cfg, synth=syn)
+        update_one(model, teacher, x, y, whole_batch(x), cfg, synth=syn)
         assert nn.params_equal(teacher, teacher_before)
 
     def test_one_synth_draw_per_epoch_by_default(self):
@@ -334,7 +342,7 @@ class TestLocalUpdate:
         batch_fn = lambda epoch: [np.arange(8), np.arange(8, 16)]
         syn = StubSynth(np.abs(np.random.default_rng(10).normal(size=(4, 6))), [0, 1, 2, 0])
         cfg = ExperimentConfig(local_epochs=3, gen_weight=0.1)
-        trainer.local_update(model, teacher, x_big, y_big, batch_fn, cfg, synth=syn)
+        update_one(model, teacher, x_big, y_big, batch_fn, cfg, synth=syn)
         assert syn.draws == 3
 
     def test_syn_per_batch_draws_per_real_batch(self):
@@ -342,17 +350,17 @@ class TestLocalUpdate:
         batch_fn = lambda epoch: [np.arange(8), np.arange(8)]
         syn = StubSynth(np.abs(np.random.default_rng(12).normal(size=(4, 6))), [0, 1, 2, 0])
         cfg = ExperimentConfig(local_epochs=3, gen_weight=0.1, syn_per_batch=True)
-        trainer.local_update(model, teacher, x, y, batch_fn, cfg, synth=syn)
+        update_one(model, teacher, x, y, batch_fn, cfg, synth=syn)
         assert syn.draws == 6
 
     def test_deterministic(self):
         x, y, model, teacher = self.setup_inputs(13)
         syn_feats = np.abs(np.random.default_rng(14).normal(size=(4, 6)))
         cfg = ExperimentConfig(local_epochs=2, gen_weight=0.3)
-        a, _ = trainer.local_update(
+        a, _ = update_one(
             model, teacher, x, y, whole_batch(x), cfg, synth=StubSynth(syn_feats, [0, 1, 2, 0])
         )
-        b, _ = trainer.local_update(
+        b, _ = update_one(
             model, teacher, x, y, whole_batch(x), cfg, synth=StubSynth(syn_feats, [0, 1, 2, 0])
         )
         assert nn.params_equal(a, b)
@@ -361,11 +369,196 @@ class TestLocalUpdate:
         x, y, model, _ = self.setup_inputs(15)
         cfg = ExperimentConfig(local_epochs=1, gen_weight=0.01)
         with pytest.raises(ConfigError):
-            trainer.local_update(model, None, x, y, lambda epoch: [], cfg)
+            update_one(model, None, x, y, lambda epoch: [], cfg)
         with pytest.raises(ConfigError):
-            trainer.local_update(
+            update_one(
                 model, None, x, y, lambda epoch: [np.arange(8), np.arange(0)], cfg
             )
+
+
+class TestLockstep:
+    """``local_update`` over several clients against ``per_batch_oracle`` run
+    on each client alone, one after another."""
+
+    # 64-row batches: 150 rows end on 22, 30 and 94 on 30 (an equal short
+    # remainder), 7 and 1 are smaller than one batch, 128 has no remainder
+    SIZES = (150, 30, 7, 128, 94, 1, 64)
+
+    def clients(self, cfg, sizes=SIZES, seed=50):
+        """Shared rows, each client's row indices (interleaved across the
+        shared array), its (features, labels) copy for the oracle, and a
+        batch function per client."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(sum(sizes) + 5, 4))
+        y = rng.integers(0, 3, size=len(x))
+        order = rng.permutation(len(x))
+        bounds = np.cumsum((0,) + tuple(sizes))
+        rows = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        parts = [(x[r], y[r]) for r in rows]
+
+        def batch_fn(i):
+            n = sizes[i]
+            return lambda epoch: data.batches(n, cfg.batch_size, epoch_seed=(seed, i, epoch))
+
+        return x, y, rows, parts, batch_fn
+
+    @staticmethod
+    def synth(cfg, n_rows, i):
+        gen_model = make_random_model(350, [5, 6], 0)
+        return generator.LocalSynthesizer(
+            gen_model, 3, n_rows, cfg.local_epochs, cfg.batch_size, seed=(9, i)
+        )
+
+    @pytest.mark.parametrize("kd_weight", [0.0, 0.7])
+    @pytest.mark.parametrize("tau_squared", [False, True])
+    @pytest.mark.parametrize("gen", ["off", "per-epoch", "per-batch"])
+    def test_matches_serial_oracle_bitwise(self, kd_weight, tau_squared, gen):
+        cfg = ExperimentConfig(
+            local_epochs=3, batch_size=64, kd_weight=kd_weight, temperature=3.0,
+            kd_tau_squared=tau_squared, gen_weight=0.0 if gen == "off" else 0.3,
+            syn_per_batch=gen == "per-batch",
+        )
+        x, y, rows, parts, batch_fn = self.clients(cfg)
+        model = make_random_model(150, [4, 6, 3], 1)
+        teacher = make_random_model(250, [4, 6, 3], 1)
+        clients = [
+            trainer.Client(rows[i], batch_fn(i), self.synth(cfg, n, i))
+            for i, n in enumerate(self.SIZES)
+        ]
+        models, stats = trainer.local_update(model, teacher, x, y, clients, cfg)
+        assert len(models) == len(stats) == len(self.SIZES)
+        for i, (xi, yi) in enumerate(parts):
+            oracle = per_batch_oracle(
+                model, teacher, xi, yi, batch_fn(i), cfg, synth=self.synth(cfg, len(xi), i)
+            )
+            assert nn.params_equal(models[i], oracle[0]), i
+            assert stats[i] == oracle[1], i
+
+    def test_clients_with_and_without_synth_mix(self):
+        cfg = ExperimentConfig(local_epochs=2, batch_size=64, gen_weight=0.3)
+        x, y, rows, parts, batch_fn = self.clients(cfg)
+        model = make_random_model(151, [4, 6, 3], 1)
+        synths = [self.synth(cfg, n, i) if i % 2 else None for i, n in enumerate(self.SIZES)]
+        clients = [trainer.Client(rows[i], batch_fn(i), synths[i]) for i in range(len(rows))]
+        models, stats = trainer.local_update(model, None, x, y, clients, cfg)
+        for i, (xi, yi) in enumerate(parts):
+            synth = self.synth(cfg, len(xi), i) if i % 2 else None
+            oracle = per_batch_oracle(model, None, xi, yi, batch_fn(i), cfg, synth=synth)
+            assert nn.params_equal(models[i], oracle[0]), i
+            assert stats[i] == oracle[1], i
+
+    def test_equal_batches_step_as_one_group(self, monkeypatch):
+        cfg = ExperimentConfig(local_epochs=3, batch_size=64)
+        sizes = (64, 64, 40, 64)
+        x, y, rows, _, batch_fn = self.clients(cfg, sizes)
+        model = make_random_model(152, [4, 6, 3], 1)
+        real_step = nn.optimizer_step
+        seen = []
+
+        def counting_step(params, grads, state):
+            seen.append(params.flat.shape[0])
+            return real_step(params, grads, state)
+
+        monkeypatch.setattr(nn, "optimizer_step", counting_step)
+        clients = [trainer.Client(r, batch_fn(i)) for i, r in enumerate(rows)]
+        trainer.local_update(model, None, x, y, clients, cfg)
+        # a tick per epoch: the three 64-row clients together, the short one alone
+        assert sorted(seen) == [1, 1, 1, 3, 3, 3]
+
+    def test_batches_are_built_one_epoch_at_a_time(self):
+        cfg = ExperimentConfig(local_epochs=4, batch_size=64)
+        sizes = (150, 30)
+        x, y, rows, _, batch_fn = self.clients(cfg, sizes)
+        calls = []
+
+        def logged(i):
+            fn = batch_fn(i)
+            return lambda epoch: calls.append((i, epoch)) or fn(epoch)
+
+        clients = [trainer.Client(r, logged(i)) for i, r in enumerate(rows)]
+        trainer.local_update(make_random_model(153, [4, 6, 3], 1), None, x, y, clients, cfg)
+        assert sorted(calls) == [(i, e) for i in range(2) for e in range(4)]
+        # the one-batch client reaches epoch 3 while the other is in epoch 1
+        assert calls.index((1, 3)) < calls.index((0, 2))
+
+    def test_zero_epochs_return_every_client_unchanged(self):
+        cfg = ExperimentConfig(local_epochs=0)
+        x, y, rows, _, batch_fn = self.clients(cfg)
+        model = make_random_model(154, [4, 6, 3], 1)
+        clients = [trainer.Client(r, batch_fn(i)) for i, r in enumerate(rows)]
+        models, stats = trainer.local_update(model, model, x, y, clients, cfg)
+        assert all(nn.params_equal(m, model) for m in models)
+        assert all(s == trainer.LocalStats() for s in stats)
+
+    def test_labels_must_match_features(self):
+        cfg = ExperimentConfig(local_epochs=1)
+        x, y, rows, _, batch_fn = self.clients(cfg, (5, 6))
+        model = make_random_model(155, [4, 6, 3], 1)
+        clients = [trainer.Client(r, batch_fn(i)) for i, r in enumerate(rows)]
+        with pytest.raises(ShapeError, match="16 feature rows but 15 labels"):
+            trainer.local_update(model, None, x, y[:-1], clients, cfg)
+
+    @staticmethod
+    def first_serial_error(model, teacher, parts, batch_fns, cfg, synths):
+        """Index and error of the first client whose oracle run raises."""
+        for i, ((xi, yi), fn, synth) in enumerate(zip(parts, batch_fns, synths)):
+            try:
+                per_batch_oracle(model, teacher, xi, yi, fn, cfg, synth=synth)
+            except Exception as exc:
+                return i, exc
+        return None
+
+    @pytest.mark.parametrize("kd,gen", [(False, False), (True, False), (False, True)])
+    def test_failure_names_the_client_the_serial_loop_names(self, kd, gen):
+        # client 1 meets its overflowing row only in epoch 2, in one stacked
+        # step with client 0; client 3 fails earlier: at its first step, or
+        # with a teacher already at setup, on a bad label
+        cfg = ExperimentConfig(
+            local_epochs=3, batch_size=64, kd_weight=0.5 if kd else 0.0,
+            gen_weight=0.3 if gen else 0.0,
+        )
+        sizes = (40, 40, 64, 50, 30)
+        x, y, rows, _, batch_fn = self.clients(cfg, sizes)
+        # one huge feature with weights above 1: the product overflows in any
+        # summation order, and a zero teacher still gives finite logits
+        x[rows[1][3]] = [0.0, np.finfo(np.float64).max, 0.0, 0.0]
+        if kd:
+            y[rows[3][2]] = 5
+        else:
+            x[rows[3][0]] = np.inf
+        parts = [(x[r], y[r]) for r in rows]
+        model = make_random_model(156, [4, 6, 3], 1)
+        teacher = nn.ModelParams([(np.zeros((4, 6)), np.zeros(6)), (np.zeros((6, 3)), np.zeros(3))], 1)
+        teacher = teacher if kd else None
+        fns = [batch_fn(i) for i in range(len(sizes))]
+        fns[1] = lambda epoch: [np.arange(7, 40)] if epoch < 2 else [np.arange(40)]
+        def synths():
+            return [self.synth(cfg, len(r), i) if gen else None for i, r in enumerate(rows)]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = self.first_serial_error(model, teacher, parts, fns, cfg, synths())
+        assert expected is not None and expected[0] == 1
+        clients = [trainer.Client(r, fns[i], s) for i, (r, s) in enumerate(zip(rows, synths()))]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(trainer.ClientError) as info:
+            trainer.local_update(model, teacher, x, y, clients, cfg)
+        assert info.value.index == 1
+        assert str(info.value) == str(expected[1]) == "forward pass produced non-finite values"
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_setup_error_of_a_later_client_waits_for_the_earlier_ones(self):
+        cfg = ExperimentConfig(local_epochs=2, batch_size=64)
+        x, y, rows, _, batch_fn = self.clients(cfg, (70, 40))
+        y[rows[1][3]] = 5  # the second client's labels fail the target check
+        calls = []
+        fn = batch_fn(0)
+        clients = [
+            trainer.Client(rows[0], lambda epoch: calls.append(epoch) or fn(epoch)),
+            trainer.Client(rows[1], batch_fn(1)),
+        ]
+        with pytest.raises(ParameterError, match="label outside"):
+            trainer.local_update(make_random_model(157, [4, 6, 3], 1), None, x, y, clients, cfg)
+        # as in the serial loop, the first client trains to the end first
+        assert calls == [0, 1]
 
 
 class TestEvaluate:
