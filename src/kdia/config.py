@@ -144,6 +144,14 @@ class ExperimentConfig:
             raise ConfigError(f"sample_ratio must be in (0, 1], got {self.sample_ratio}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        # the per-class cut of data.train_test_split
+        cut = int(round(self.samples_per_class * self.test_fraction))
+        if cut in (0, self.samples_per_class):
+            empty = "test" if cut == 0 else "training"
+            raise ConfigError(
+                f"samples_per_class = {self.samples_per_class} with test_fraction = "
+                f"{self.test_fraction} leaves the {empty} split empty"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.mode not in WEIGHT_MODES:

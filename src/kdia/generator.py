@@ -50,12 +50,6 @@ def init_generator(
     )
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def gen_forward(
     gen: nn.ModelParams, noise: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> np.ndarray:
@@ -63,6 +57,8 @@ def gen_forward(
 
     The output passes through a final ReLU: real extractor features are
     post-activation, so generated features live in the same nonnegative space.
+    Labels are checked by ``nn.target_rows``: one per noise row, integers in
+    ``[0, n_classes)``.
     """
     noise = np.asarray(noise, dtype=np.float64)
     if noise.ndim != 2 or noise.shape[1] != gen.input_width - n_classes:
@@ -70,7 +66,7 @@ def gen_forward(
             f"noise width {noise.shape[-1]} != expected "
             f"{gen.input_width - n_classes}"
         )
-    stacked = np.hstack([noise, _one_hot(np.asarray(labels), n_classes)])
+    stacked = np.hstack([noise, nn.target_rows(labels, noise.shape[0], n_classes)])
     return np.maximum(nn.forward(gen, stacked), 0.0)
 
 

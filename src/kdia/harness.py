@@ -72,19 +72,28 @@ def sweep(base_cfg: ExperimentConfig, axis: str, values, out_dir) -> dict:
 
     Writes ``<axis>=<value>.csv`` per value (first seed) and
     ``<axis>=<value>.seed<S>.csv`` for any additional seeds. Returns
-    {value: {seed: metrics path}}.
+    {value: {seed: metrics path}}. Every value is checked before the first
+    run: an empty list, or two values that give the same setting, raise
+    ``ConfigError``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
-    os.makedirs(out_dir, exist_ok=True)
     field = SWEEP_AXES[axis]
-    written: dict = {}
+    cfgs: dict = {}
     for raw in values:
         changes = {field: raw}
         if field == "beta":
             changes["gen_weight"] = -1.0  # re-resolve the per-beta preset
         cfg = dataclasses.replace(base_cfg, **changes)
         value = getattr(cfg, field)
+        if value in cfgs:
+            raise ConfigError(f"sweep value {raw!r} repeats {axis}={value}")
+        cfgs[value] = cfg
+    if not cfgs:
+        raise ConfigError(f"sweep over {axis} has no values")
+    os.makedirs(out_dir, exist_ok=True)
+    written: dict = {}
+    for value, cfg in cfgs.items():
         written[value] = {}
         for i, seed in enumerate(cfg.seeds):
             result = orchestrator.run_experiment(cfg, seed)

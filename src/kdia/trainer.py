@@ -11,18 +11,19 @@ classifier-only path. By default one synthetic batch is drawn per epoch and
 reused across that epoch's real batches, with ``syn_per_batch`` available to
 resample per real batch instead.
 
-``local_update`` trains all of a round's clients in lockstep. At every tick
-each client that still has batches takes its next one, and the clients whose
-batches have the same row count (and synthetic batches the same row count)
-run one stacked step: the ``nn`` kernels over ``(G, rows, width)`` arrays,
-one slice per client. Every client's arithmetic is the one it would run on
-its own, so the results are bit-identical to training the clients one after
-another. A short batch is never padded, because matmul rows depend on the
-row count: it steps with the clients whose batch has its row count at that
-tick, or as a group of one. Each client keeps its own batch and synthesis
-streams and draws from them in order. The working set is the clients' rows
-and checked targets, the current epoch's batches and one step's stacked
-arrays.
+``local_update`` trains all of a round's clients in lockstep. Each client's
+code is its own serial loop, written as a generator: it checks the client's
+targets, then yields the block rows and synthetic batch of each step in
+order, drawing from the client's own batch and synthesis streams. At every
+tick each running loop yields its next step, and the clients whose batches
+have the same row count (and synthetic batches the same row count) run one
+stacked step: the ``nn`` kernels over ``(G, rows, width)`` arrays, one slice
+per client. Every client's arithmetic is the one it would run on its own, so
+the results are bit-identical to training the clients one after another. A
+short batch is never padded, because matmul rows depend on the row count: it
+steps with the clients whose batch has its row count at that tick, or as a
+group of one. The working set is the clients' rows and checked targets, the
+current epoch's batches and one step's stacked arrays.
 
 The client's labels and the teacher's soft targets are checked by
 ``nn.target_rows`` once per update, and so are the labels of every synthetic
@@ -31,9 +32,12 @@ the student logits' row max once and runs ``nn.tempered_ce`` on it twice, at
 temperature 1 for the labels and at the distillation temperature for the
 teacher's targets.
 
-A client whose update fails (a non-finite value, say) is reported as the
-serial loop would report it: the lowest-indexed client that fails, with its
-own first error. Clients after it stop at once; the ones before it finish.
+Clients share no state, so one client's failure cannot change another's
+run. Every loop runs to its end or to its first error (a non-finite value,
+say), and then the lowest-indexed failing client's error is raised: the one
+the serial loop raises, with the same client, message and cause. A stacked
+step that raises is queued again as groups of one, which find the clients
+that failed through the same step code.
 
 The settings are read from the experiment's ``ExperimentConfig`` by their
 key names; their ranges were checked when that config was built.
@@ -128,9 +132,9 @@ def local_update(
     term runs only with a teacher and the generator term only for clients
     with a ``synth``, each when its weight in ``cfg`` is positive. Teacher
     and generator are read-only throughout.
-    A failing client raises its error once the clients before it have
-    finished; an ``ArithmeticError`` comes as ``ClientError`` naming the
-    client's index.
+    Once every client has run to its end or first error, the
+    lowest-indexed failing client's error is raised; an ``ArithmeticError``
+    comes as ``ClientError`` naming the client's index.
     """
     layout, split = global_params.layout, global_params.split_index
     features, labels = np.asarray(features, dtype=np.float64), np.asarray(labels)
@@ -150,21 +154,31 @@ def local_update(
     use_kd = teacher_params is not None and cfg.kd_weight > 0.0
     n_classes = global_params.layers[-1][0].shape[1]
     kd_scale = _kd_scale(cfg.kd_weight, cfg.temperature, cfg.kd_tau_squared)
-    failed: dict = {}
     # checked targets, in the same row order
     onehot = np.empty((len(order), n_classes))
     probs = np.empty((len(order), n_classes)) if use_kd else None
-    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        try:
-            onehot[lo:hi] = nn.target_rows(labels[lo:hi], hi - lo, n_classes)
-            if use_kd:
-                logits = nn.forward(teacher_params, features[lo:hi])
-                probs[lo:hi] = nn.target_rows(
-                    nn.softmax(logits, cfg.temperature), hi - lo, n_classes
-                )
-        except (ArithmeticError, ValueError) as exc:
-            failed[i] = exc  # raised once the clients before it finish
-            break
+
+    def serial_loop(client, lo, hi):
+        """The client's own serial loop over block rows ``lo:hi``: checks its
+        targets, then yields ``(block positions, synthetic batch or None)``
+        for each of its steps in order."""
+        onehot[lo:hi] = nn.target_rows(labels[lo:hi], hi - lo, n_classes)
+        if use_kd:
+            logits = nn.forward(teacher_params, features[lo:hi])
+            probs[lo:hi] = nn.target_rows(
+                nn.softmax(logits, cfg.temperature), hi - lo, n_classes
+            )
+        gen = cfg.gen_weight > 0.0 and client.synth is not None
+        syn = None
+        for epoch in range(cfg.local_epochs):
+            real = client.batch_fn(epoch)
+            if not real or min(map(len, real)) == 0:
+                raise ConfigError("client has no data batches, or an empty one")
+            for b, pos in enumerate(real):
+                if gen and (b == 0 or cfg.syn_per_batch):
+                    syn_x, syn_y = client.synth.draw()
+                    syn = syn_x, nn.target_rows(syn_y, len(syn_x), n_classes)
+                yield lo + pos, syn
 
     def step(th, v, rows, syn):
         """One SGD step of the ``(G, P)`` models ``th`` (velocities ``v``)
@@ -194,45 +208,33 @@ def local_update(
         nn.optimizer_step(model, grads, state)
         return ce, kd, gen
 
-    def draw(i):
-        syn_x, syn_y = clients[i].synth.draw()
-        return syn_x, nn.target_rows(syn_y, len(syn_x), n_classes)
-
-    # per client: its epoch, that epoch's batches as block positions, the
-    # index of the next one, and its current synthetic batch
-    n = len(clients)
-    epoch, batches, nxt, syn = [-1] * n, [()] * n, [0] * n, {}
-    gens = [cfg.gen_weight > 0.0 and c.synth is not None for c in clients]
-    active = range(min(failed, default=len(clients)))
-    while active:
+    # the running loops in client order; a loop leaves at its end or first error
+    loops = {
+        i: serial_loop(c, lo, hi)
+        for i, (c, lo, hi) in enumerate(zip(clients, offsets[:-1], offsets[1:]))
+    }
+    failed: dict = {}
+    while loops:
         groups: dict = {}
-        for i in active:
+        for i, loop in list(loops.items()):
             try:
-                if nxt[i] == len(batches[i]):
-                    epoch[i] += 1
-                    if epoch[i] == cfg.local_epochs:
-                        continue
-                    real = clients[i].batch_fn(epoch[i])
-                    if not real or min(map(len, real)) == 0:
-                        raise ConfigError("client has no data batches, or an empty one")
-                    batches[i], nxt[i] = [offsets[i] + pos for pos in real], 0
-                    if gens[i] and not cfg.syn_per_batch:
-                        syn[i] = draw(i)
-                if gens[i] and cfg.syn_per_batch:
-                    syn[i] = draw(i)
+                rows, syn = next(loop)
+            except StopIteration:
+                del loops[i]
+                continue
             except (ArithmeticError, ValueError) as exc:
-                failed[i] = exc  # raised once the clients before it finish
-                break
-            rows = batches[i][nxt[i]]
-            nxt[i] += 1
-            key = (len(rows), len(syn[i][0]) if gens[i] else 0)
-            groups.setdefault(key, []).append((i, rows))
-        for members in groups.values():
-            ids = [i for i, _ in members]
-            rows = np.concatenate([r for _, r in members]).reshape(len(ids), -1)
+                failed[i] = exc
+                del loops[i]
+                continue
+            key = (len(rows), None if syn is None else len(syn[0]))
+            groups.setdefault(key, []).append((i, rows, syn))
+        queue = list(groups.values())
+        for members in queue:
+            ids = [i for i, _, _ in members]
+            rows = np.concatenate([r for _, r, _ in members]).reshape(len(ids), -1)
             stacked = None
-            if gens[ids[0]]:
-                stacked = tuple(np.stack([syn[i][k] for i in ids]) for k in (0, 1))
+            if members[0][2] is not None:
+                stacked = tuple(np.stack([s[k] for _, _, s in members]) for k in (0, 1))
             # consecutive clients step views of their rows in place; others
             # step a gathered copy that is written back
             gathered = ids[-1] - ids[0] != len(ids) - 1
@@ -242,26 +244,21 @@ def local_update(
             else:
                 th, v = theta[ids[0] : ids[-1] + 1], vel[ids[0] : ids[-1] + 1]
             try:
-                traces = [(ids, step(th, v, rows, stacked))]
-            except (ArithmeticError, ValueError):
-                # find who failed, and with what, one client at a time
-                traces = []
-                for g, i in enumerate(ids):
-                    one = slice(g, g + 1)
-                    syn_g = None if stacked is None else (stacked[0][one], stacked[1][one])
-                    try:
-                        traces.append(([i], step(th[one], v[one], rows[one], syn_g)))
-                    except (ArithmeticError, ValueError) as exc:
-                        failed.setdefault(i, exc)
+                ce, kd, gen = step(th, v, rows, stacked)
+            except (ArithmeticError, ValueError) as exc:
+                if len(members) > 1:
+                    # step its clients again one by one to find who failed
+                    queue.extend([m] for m in members)
+                else:
+                    failed[ids[0]] = exc
+                    del loops[ids[0]]
+                continue
             if gathered:
                 theta[index], vel[index] = th, v
-            for group, (ce, kd, gen) in traces:
-                for g, i in enumerate(group):
-                    stats[i].ce.append(float(ce[g]))
-                    stats[i].kd.append(0.0 if kd is None else float(kd[g]))
-                    stats[i].gen.append(0.0 if gen is None else float(gen[g]))
-        stop = min(failed, default=len(clients))
-        active = [i for i in active if i < stop and epoch[i] < cfg.local_epochs]
+            for g, i in enumerate(ids):
+                stats[i].ce.append(float(ce[g]))
+                stats[i].kd.append(0.0 if kd is None else float(kd[g]))
+                stats[i].gen.append(0.0 if gen is None else float(gen[g]))
     if failed:
         i = min(failed)
         if isinstance(failed[i], ArithmeticError):

@@ -110,6 +110,12 @@ class TestGenForward:
         labels = np.random.default_rng(4).integers(0, 3, size=10)
         assert (generator.gen_forward(gen, noise, labels, 3) >= 0).all()
 
+    @pytest.mark.parametrize("label", [-1, 3, 1.7])
+    def test_label_outside_the_classes_rejected(self, label):
+        gen = make_generator(8)
+        with pytest.raises(ParameterError):
+            generator.gen_forward(gen, np.zeros((2, 8)), np.array([0, label]), 3)
+
     def test_wrong_noise_width_rejected(self):
         gen = make_generator(8)
         with pytest.raises(ShapeError):

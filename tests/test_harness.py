@@ -54,6 +54,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_cleints"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "samples,fraction,empty", [(2, 0.2, "test"), (1, 0.6, "training"), (3, 0.9, "training")]
+    )
+    def test_split_leaving_a_side_empty_names_both_keys(self, samples, fraction, empty):
+        match = (
+            f"samples_per_class = {samples} with test_fraction = {fraction} "
+            f"leaves the {empty} split empty"
+        )
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(samples_per_class=samples, test_fraction=fraction)
+
     def test_key_set_twice_names_file_and_both_lines(self, tmp_path):
         path = tmp_path / "twice.cfg"
         path.write_text("rounds = 1\nbeta = 0.5\n# rounds = 3\nrounds = 2\n")
@@ -209,6 +220,16 @@ class TestSweep:
     def test_bad_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             harness.sweep(tiny_cfg(), "gamma", [1], tmp_path)
+
+    @pytest.mark.parametrize(
+        "values,match",
+        [([], "sweep over C has no values"), (["0.5", 1, "0.50"], "'0.50' repeats C=0.5")],
+    )
+    def test_empty_or_repeated_values_rejected_before_any_run(self, tmp_path, values, match):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=match):
+            harness.sweep(tiny_cfg(rounds=1, seeds=(0,)), "C", values, out)
+        assert not out.exists()
 
     def test_text_values_name_files_by_typed_value(self, tmp_path):
         cfg = tiny_cfg(rounds=1, seeds=(0,), disable_gen=True)
@@ -424,6 +445,13 @@ class TestCli:
             (["run", "--checkpoint-interval", "-1", "--out-dir", "{tmp}"],
              "--checkpoint-interval"),
             (["run", "--config", "{tmp}/twice.cfg", "--out-dir", "{tmp}"], "lines 1 and 2"),
+            # a split with no test rows, before any data
+            (["run", "--samples-per-class", "2", "--n-clients", "2", "--rounds", "2",
+              "--disable-gen", "--out-dir", "{tmp}"],
+             "samples_per_class = 2 with test_fraction = 0.2 leaves the test split empty"),
+            (["sweep", "--axis", "C", "--values", "0.5,0.50", "--out-dir", "{tmp}"],
+             "'0.50' repeats C=0.5"),
+            (["sweep", "--axis", "C", "--values", ",", "--out-dir", "{tmp}"], "no values"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):

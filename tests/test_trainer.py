@@ -508,11 +508,16 @@ class TestLockstep:
                 return i, exc
         return None
 
-    @pytest.mark.parametrize("kd,gen", [(False, False), (True, False), (False, True)])
-    def test_failure_names_the_client_the_serial_loop_names(self, kd, gen):
+    @pytest.mark.parametrize(
+        "kd,gen,same_step",
+        [(False, False, False), (True, False, False), (False, True, False), (False, False, True)],
+        ids=["False-False", "True-False", "False-True", "same-step"],
+    )
+    def test_failure_names_the_client_the_serial_loop_names(self, kd, gen, same_step):
         # client 1 meets its overflowing row only in epoch 2, in one stacked
         # step with client 0; client 3 fails earlier: at its first step, or
-        # with a teacher already at setup, on a bad label
+        # with a teacher already at setup, on a bad label; or it overflows
+        # like client 1, in the same stacked step
         cfg = ExperimentConfig(
             local_epochs=3, batch_size=64, kd_weight=0.5 if kd else 0.0,
             gen_weight=0.3 if gen else 0.0,
@@ -522,7 +527,12 @@ class TestLockstep:
         # one huge feature with weights above 1: the product overflows in any
         # summation order, and a zero teacher still gives finite logits
         x[rows[1][3]] = [0.0, np.finfo(np.float64).max, 0.0, 0.0]
-        if kd:
+        fns = [batch_fn(i) for i in range(len(sizes))]
+        fns[1] = lambda epoch: [np.arange(7, 40)] if epoch < 2 else [np.arange(40)]
+        if same_step:
+            x[rows[3][3]] = x[rows[1][3]]
+            fns[3] = fns[1]
+        elif kd:
             y[rows[3][2]] = 5
         else:
             x[rows[3][0]] = np.inf
@@ -530,8 +540,6 @@ class TestLockstep:
         model = make_random_model(156, [4, 6, 3], 1)
         teacher = nn.ModelParams([(np.zeros((4, 6)), np.zeros(6)), (np.zeros((6, 3)), np.zeros(3))], 1)
         teacher = teacher if kd else None
-        fns = [batch_fn(i) for i in range(len(sizes))]
-        fns[1] = lambda epoch: [np.arange(7, 40)] if epoch < 2 else [np.arange(40)]
         def synths():
             return [self.synth(cfg, len(r), i) if gen else None for i, r in enumerate(rows)]
 
@@ -544,6 +552,22 @@ class TestLockstep:
         assert info.value.index == 1
         assert str(info.value) == str(expected[1]) == "forward pass produced non-finite values"
         assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_a_failed_client_takes_no_further_steps(self):
+        cfg = ExperimentConfig(local_epochs=3, batch_size=64)
+        x, y, rows, _, batch_fn = self.clients(cfg, (20, 20))
+        x[rows[0][0]] = np.inf
+        calls = []
+        fn = batch_fn(0)
+        clients = [
+            trainer.Client(rows[0], lambda epoch: calls.append(epoch) or fn(epoch)),
+            trainer.Client(rows[1], batch_fn(1)),
+        ]
+        with np.errstate(invalid="ignore"), pytest.raises(trainer.ClientError) as info:
+            trainer.local_update(make_random_model(158, [4, 6, 3], 1), None, x, y, clients, cfg)
+        assert info.value.index == 0
+        # as in the serial loop, the client stops at its first failing step
+        assert calls == [0]
 
     def test_setup_error_of_a_later_client_waits_for_the_earlier_ones(self):
         cfg = ExperimentConfig(local_epochs=2, batch_size=64)
