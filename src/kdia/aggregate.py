@@ -30,10 +30,6 @@ class ModelRegistry:
         self.layout = theta0.layout
         self.stored = np.tile(theta0.flat, (n_clients, 1))
 
-    @property
-    def n_clients(self) -> int:
-        return self.stored.shape[0]
-
     def update(self, client_id: int, new_params: ModelParams) -> None:
         if new_params.layout != self.layout:
             raise ShapeError("replacement snapshot has a different architecture")

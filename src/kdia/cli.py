@@ -29,31 +29,19 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, type=str, default=None, dest=f.name, metavar="V")
 
 
-def _collect_config(args) -> ExperimentConfig:
-    overrides = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    return parse_config(args.config, overrides)
-
-
-def _make_out_dir(path) -> None:
-    """Create the ``--out-dir`` directory unless it exists; a path that
-    cannot be one (an existing regular file, say) is a ``ConfigError``."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"--out-dir {path}: not a directory") from exc
+def _overrides(args) -> dict:
+    """The config keys given as flags, as text."""
+    fields = dataclasses.fields(ExperimentConfig)
+    return {f.name: getattr(args, f.name) for f in fields if getattr(args, f.name) is not None}
 
 
 def _cmd_run(args) -> int:
-    cfg = _collect_config(args)
+    cfg = parse_config(args.config, _overrides(args))
     if args.checkpoint_interval < 0:
         raise ConfigError(
             f"--checkpoint-interval must be >= 0, got {args.checkpoint_interval}"
         )
-    _make_out_dir(args.out_dir)
+    harness.make_out_dir(args.out_dir)
     for seed in cfg.seeds:
         hook = None
         if args.checkpoint_interval > 0:
@@ -84,10 +72,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _collect_config(args)
-    _make_out_dir(args.out_dir)
     values = [v for v in args.values.split(",") if v.strip()]
-    written = harness.sweep(cfg, args.axis, values, args.out_dir)
+    written = harness.sweep(args.config, _overrides(args), args.axis, values, args.out_dir)
     for value, per_seed in written.items():
         for seed, path in per_seed.items():
             print(f"{args.axis}={value} seed={seed} -> {path}")
@@ -95,7 +81,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_similarity(args) -> int:
-    cfg = _collect_config(args)
+    cfg = parse_config(args.config, _overrides(args))
     if args.reference_epochs < 0:
         raise ConfigError(f"--reference-epochs must be >= 0, got {args.reference_epochs}")
     gen = nn.load_checkpoint(args.gen_checkpoint) if args.gen_checkpoint else None
@@ -136,8 +122,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_fedavg_ref(args) -> int:
-    cfg = _collect_config(args)
-    _make_out_dir(args.out_dir)
+    cfg = parse_config(args.config, _overrides(args))
+    harness.make_out_dir(args.out_dir)
     for seed in cfg.seeds:
         run = orchestrator.fedavg_reference(cfg, seed)
         records = [

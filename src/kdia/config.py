@@ -158,6 +158,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if not (self.gen_weight >= 0.0 or self.gen_weight == -1.0):
             raise ConfigError(f"gen_weight must be >= 0, got {self.gen_weight}")
         if self.gen_weight == -1.0:

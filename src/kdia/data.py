@@ -33,10 +33,6 @@ class Partition:
 
     client_indices: list[np.ndarray]
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.client_indices)
-
     def sizes(self) -> np.ndarray:
         return np.array([len(ix) for ix in self.client_indices])
 

@@ -174,9 +174,9 @@ class LocalSynthesizer:
     """Frozen-generator synthetic batches for one client.
 
     The label pool holds one entry per local sample, or ``local_epochs`` times
-    that when the client owns fewer samples than a batch, so small clients see
-    different synthetic rows every epoch. Each draw takes a fresh noise batch
-    and a shuffled subset of the pool.
+    that (at least once) when the client owns fewer samples than a batch, so
+    small clients see different synthetic rows every epoch. Each draw takes a
+    fresh noise batch and a shuffled subset of the pool.
     """
 
     def __init__(
@@ -198,14 +198,16 @@ class LocalSynthesizer:
         pool_len = (
             sample_count
             if sample_count >= batch_size
-            else local_epochs * sample_count
+            else max(local_epochs, 1) * sample_count
         )
         self.pool = sample_label_pool(pool_len, n_classes, self.rng)
 
     def draw(self) -> tuple[np.ndarray, np.ndarray]:
+        """A synthetic batch: the generated features and the checked one-hot
+        rows of their labels, as ``gen_forward`` builds them."""
         take = min(self.batch_size, len(self.pool))
         idx = self.rng.permutation(len(self.pool))[:take]
-        labels = self.pool[idx]
+        rows = nn.target_rows(self.pool[idx], take, self.n_classes)
         noise = self.rng.normal(size=(take, self.noise_dim))
-        return gen_forward(self.gen, noise, labels, self.n_classes), labels
+        return np.maximum(nn.forward(self.gen, np.hstack([noise, rows])), 0.0), rows
 

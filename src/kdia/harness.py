@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from . import data, generator, nn, orchestrator, trainer
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_config
 from .errors import ConfigError
 
 # the RoundMetrics fields are the columns; one text form per column type
@@ -67,40 +67,50 @@ def read_metrics(path):
     return records
 
 
-def sweep(base_cfg: ExperimentConfig, axis: str, values, out_dir) -> dict:
-    """Run the base configuration across one axis with shared seeds.
+def make_out_dir(path) -> None:
+    """Create the output directory ``path`` (``--out-dir``) unless it exists;
+    a path that cannot be one (an existing regular file, say) is a
+    ``ConfigError``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out-dir {path}: not a directory") from exc
 
-    Writes ``<axis>=<value>.csv`` per value (first seed) and
+
+def sweep(path, overrides: dict, axis: str, values, out_dir) -> dict:
+    """Run one configuration across one axis with shared seeds.
+
+    Each point is ``parse_config(path, {**overrides, <key>: value})``, the
+    config ``kdia run`` would build, so a key set in the file or the
+    overrides (``gen_weight``, say) holds at every point. Writes
+    ``<axis>=<value>.csv`` per value (first seed) and
     ``<axis>=<value>.seed<S>.csv`` for any additional seeds. Returns
-    {value: {seed: metrics path}}. Every value is checked before the first
-    run: an empty list, or two values that give the same setting, raise
-    ``ConfigError``.
+    {value: {seed: metrics path}}. Every point is resolved before
+    ``out_dir`` is created: a bad value, an empty list, or two values that
+    give the same setting raise ``ConfigError``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     field = SWEEP_AXES[axis]
     cfgs: dict = {}
     for raw in values:
-        changes = {field: raw}
-        if field == "beta":
-            changes["gen_weight"] = -1.0  # re-resolve the per-beta preset
-        cfg = dataclasses.replace(base_cfg, **changes)
+        cfg = parse_config(path, {**overrides, field: raw})
         value = getattr(cfg, field)
         if value in cfgs:
             raise ConfigError(f"sweep value {raw!r} repeats {axis}={value}")
         cfgs[value] = cfg
     if not cfgs:
         raise ConfigError(f"sweep over {axis} has no values")
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     written: dict = {}
     for value, cfg in cfgs.items():
         written[value] = {}
         for i, seed in enumerate(cfg.seeds):
             result = orchestrator.run_experiment(cfg, seed)
             name = f"{axis}={value}.csv" if i == 0 else f"{axis}={value}.seed{seed}.csv"
-            path = os.path.join(out_dir, name)
-            write_metrics(result.metrics, path)
-            written[value][seed] = path
+            csv = os.path.join(out_dir, name)
+            write_metrics(result.metrics, csv)
+            written[value][seed] = csv
     return written
 
 

@@ -26,11 +26,11 @@ group of one. The working set is the clients' rows and checked targets, the
 current epoch's batches and one step's stacked arrays.
 
 The client's labels and the teacher's soft targets are checked by
-``nn.target_rows`` once per update, and so are the labels of every synthetic
-draw; each step reads its rows from those checked arrays. Each step takes
-the student logits' row max once and runs ``nn.tempered_ce`` on it twice, at
-temperature 1 for the labels and at the distillation temperature for the
-teacher's targets.
+``nn.target_rows`` once per update, and every synthetic draw comes with the
+one-hot rows its synthesizer checked; each step reads its rows from those
+checked arrays. Each step takes the student logits' row max once and runs
+``nn.tempered_ce`` on it twice, at temperature 1 for the labels and at the
+distillation temperature for the teacher's targets.
 
 Clients share no state, so one client's failure cannot change another's
 run. Every loop runs to its end or to its first error (a non-finite value,
@@ -100,8 +100,9 @@ class Client:
     """One client of a lockstep ``local_update``: ``rows`` indexes its rows
     in the shared features and labels, ``batch_fn(epoch)`` returns that
     epoch's list of batches (arrays of positions in ``range(len(rows))``),
-    and ``synth`` (anything with ``draw()``, or None) provides its synthetic
-    feature batches."""
+    and ``synth`` (anything whose ``draw()`` returns a synthetic feature
+    batch and its checked one-hot label rows, or None) provides its
+    synthetic batches."""
 
     rows: np.ndarray
     batch_fn: Callable
@@ -176,8 +177,7 @@ def local_update(
                 raise ConfigError("client has no data batches, or an empty one")
             for b, pos in enumerate(real):
                 if gen and (b == 0 or cfg.syn_per_batch):
-                    syn_x, syn_y = client.synth.draw()
-                    syn = syn_x, nn.target_rows(syn_y, len(syn_x), n_classes)
+                    syn = client.synth.draw()
                 yield lo + pos, syn
 
     def step(th, v, rows, syn):

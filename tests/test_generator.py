@@ -340,23 +340,41 @@ class TestSynthesizeLocal:
         synth = generator.LocalSynthesizer(gen, 3, 500, 10, 64, seed=0)
         assert len(synth.pool) == 500
 
+    def test_zero_epoch_client_pool_holds_one_epoch(self):
+        gen = make_generator(55)
+        synth = generator.LocalSynthesizer(gen, 3, 10, 0, 64, seed=0)
+        assert len(synth.pool) == 10
+
     def test_draw_shapes(self):
         gen = make_generator(52)
         synth = generator.LocalSynthesizer(gen, 3, 200, 5, 32, seed=1)
-        feats, labels = synth.draw()
+        feats, rows = synth.draw()
         assert feats.shape == (32, 6)
-        assert labels.shape == (32,)
+        assert rows.shape == (32, 3)
+
+    def test_draw_is_gen_forward_on_its_stream(self):
+        gen = make_generator(56)
+        # a small client: a pool of 3 epochs x 5 samples
+        synth = generator.LocalSynthesizer(gen, 3, 5, 3, 8, seed=4)
+        rng = np.random.default_rng(4)
+        pool = generator.sample_label_pool(15, 3, rng)
+        for _ in range(3):
+            labels = pool[rng.permutation(15)[:8]]
+            noise = rng.normal(size=(8, gen.input_width - 3))
+            feats, rows = synth.draw()
+            assert feats.tobytes() == generator.gen_forward(gen, noise, labels, 3).tobytes()
+            assert np.array_equal(rows, np.eye(3)[labels])
 
     def test_same_seed_identical_stream(self):
         gen = make_generator(53)
         a = generator.LocalSynthesizer(gen, 3, 90, 4, 32, seed=2)
         b = generator.LocalSynthesizer(gen, 3, 90, 4, 32, seed=2)
         for _ in range(4):
-            (fa, la), (fb, lb) = a.draw(), b.draw()
-            assert np.array_equal(fa, fb) and np.array_equal(la, lb)
+            (fa, ra), (fb, rb) = a.draw(), b.draw()
+            assert np.array_equal(fa, fb) and np.array_equal(ra, rb)
 
     def test_tiny_pool_batches_capped(self):
         gen = make_generator(54)
         synth = generator.LocalSynthesizer(gen, 3, 4, 2, 64, seed=3)
-        feats, labels = synth.draw()
+        feats, _ = synth.draw()
         assert feats.shape[0] == 8  # pool of 2*4, smaller than one batch

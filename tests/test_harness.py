@@ -11,7 +11,7 @@ from kdia import data, generator, harness, nn, orchestrator
 from kdia.cli import main as cli_main
 from kdia.config import ExperimentConfig, parse_config
 from kdia.errors import ConfigError
-from test_orchestrator import tiny_cfg
+from test_orchestrator import tiny_cfg, tiny_overrides
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -133,11 +133,29 @@ class TestParseConfig:
             ("gen_learning_rate", "0"), ("gen_weight_decay", "-1e-5"),
             ("learning_rate", "inf"), ("spread", "inf"), ("part_floor", "inf"),
             ("kd_weight", "inf"), ("separation", "-inf"), ("gen_weight", "inf"),
+            ("test_fraction", "0"), ("test_fraction", "1"), ("mode", "fedavg"),
+            ("seeds", ","), ("gen_weight", "-0.5"), ("seeds", "0,-1"),
         ],
     )
     def test_out_of_range_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             parse_config(overrides={key: value})
+
+    def test_negative_env_seed_names_seeds(self, monkeypatch):
+        monkeypatch.setenv("KDIA_SEED", "-1")
+        with pytest.raises(ConfigError, match="^seeds must be >= 0, got -1$"):
+            parse_config()
+
+    @pytest.mark.parametrize(
+        "text,overrides,match",
+        [("rounds 5\n", {}, r"bad\.cfg:1: expected key = value"),
+         ("", {"n_cleints": "10"}, "^unknown config key 'n_cleints'$")],
+    )
+    def test_line_without_equals_and_unknown_override_named(self, tmp_path, text, overrides, match):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            parse_config(path, overrides)
 
 
 class TestMetricsCsv:
@@ -199,10 +217,23 @@ class TestMetricsCsv:
             harness.read_metrics(path)
 
 
+def record_beta_and_gen_weight(monkeypatch) -> list:
+    """Patch ``orchestrator.run_experiment`` to append each run's
+    ``(beta, gen_weight)`` to the returned list."""
+    real_run, seen = orchestrator.run_experiment, []
+
+    def recording_run(cfg, seed, **kw):
+        seen.append((cfg.beta, cfg.gen_weight))
+        return real_run(cfg, seed, **kw)
+
+    monkeypatch.setattr(orchestrator, "run_experiment", recording_run)
+    return seen
+
+
 class TestSweep:
     def test_sweep_writes_one_file_per_value(self, tmp_path):
-        cfg = tiny_cfg(rounds=2, seeds=(0,), disable_gen=True)
-        written = harness.sweep(cfg, "C", [0.5, 1.0], tmp_path)
+        keys = tiny_overrides(rounds=2, seeds=(0,), disable_gen=True)
+        written = harness.sweep(None, keys, "C", [0.5, 1.0], tmp_path)
         assert set(written) == {0.5, 1.0}
         for value in written:
             path = written[value][0]
@@ -210,8 +241,8 @@ class TestSweep:
             assert len(harness.read_metrics(path)) == 2
 
     def test_sweep_shares_seeds_across_values(self, tmp_path):
-        cfg = tiny_cfg(rounds=2, seeds=(3,), disable_gen=True, disable_kd=True)
-        written = harness.sweep(cfg, "mode", ["num", "tri-gm"], tmp_path)
+        keys = tiny_overrides(rounds=2, seeds=(3,), disable_gen=True, disable_kd=True)
+        written = harness.sweep(None, keys, "mode", ["num", "tri-gm"], tmp_path)
         a = harness.read_metrics(written["num"][3])
         b = harness.read_metrics(written["tri-gm"][3])
         # same seed, same sampling: per-round selected sets coincide
@@ -219,7 +250,7 @@ class TestSweep:
 
     def test_bad_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            harness.sweep(tiny_cfg(), "gamma", [1], tmp_path)
+            harness.sweep(None, tiny_overrides(), "gamma", [1], tmp_path)
 
     @pytest.mark.parametrize(
         "values,match",
@@ -228,15 +259,39 @@ class TestSweep:
     def test_empty_or_repeated_values_rejected_before_any_run(self, tmp_path, values, match):
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=match):
-            harness.sweep(tiny_cfg(rounds=1, seeds=(0,)), "C", values, out)
+            harness.sweep(None, tiny_overrides(rounds=1, seeds=(0,)), "C", values, out)
         assert not out.exists()
 
     def test_text_values_name_files_by_typed_value(self, tmp_path):
-        cfg = tiny_cfg(rounds=1, seeds=(0,), disable_gen=True)
-        written = harness.sweep(cfg, "C", ["0.50", " 1"], tmp_path)
+        keys = tiny_overrides(rounds=1, seeds=(0,), disable_gen=True)
+        written = harness.sweep(None, keys, "C", ["0.50", " 1"], tmp_path)
         assert {v: os.path.basename(p[0]) for v, p in written.items()} == {
             0.5: "C=0.5.csv", 1.0: "C=1.0.csv"
         }
+
+    @pytest.mark.parametrize(
+        "keys,text,expect",
+        [
+            ({}, "", [(0.1, 0.01), (0.5, 1.0)]),  # the per-beta presets
+            ({"gen_weight": "0.3"}, "", [(0.1, 0.3), (0.5, 0.3)]),
+            ({}, "gen_weight = 0.3\n", [(0.1, 0.3), (0.5, 0.3)]),
+        ],
+    )
+    def test_explicit_gen_weight_holds_at_every_beta(
+        self, tmp_path, monkeypatch, keys, text, expect
+    ):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        seen = record_beta_and_gen_weight(monkeypatch)
+        keys = tiny_overrides(rounds=1, **keys)
+        harness.sweep(path, keys, "beta", ["0.1", "0.5"], tmp_path / "out")
+        assert seen == expect
+
+    def test_env_seed_runs_every_point(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KDIA_SEED", "7")
+        keys = tiny_overrides(rounds=1, seeds=(0, 1), disable_gen=True)
+        written = harness.sweep(None, keys, "C", ["0.5", "1"], tmp_path)
+        assert {v: list(p) for v, p in written.items()} == {0.5: [7], 1.0: [7]}
 
 
 class TestVarianceTrack:
@@ -452,6 +507,11 @@ class TestCli:
             (["sweep", "--axis", "C", "--values", "0.5,0.50", "--out-dir", "{tmp}"],
              "'0.50' repeats C=0.5"),
             (["sweep", "--axis", "C", "--values", ",", "--out-dir", "{tmp}"], "no values"),
+            # a negative seed, when the config is built
+            (["run", "--seeds=-1", "--out-dir", "{tmp}"], "seeds must be >= 0, got -1"),
+            (["sweep", "--axis", "C", "--values", "0.5", "--seeds=0,-2", "--out-dir", "{tmp}"],
+             "seeds must be >= 0, got -2"),
+            (["fedavg-ref", "--seeds=-1", "--out-dir", "{tmp}"], "seeds"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
@@ -468,6 +528,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and named.format(tmp=tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "argv,env_seed",
+        [
+            (["sweep", "--axis", "C", "--values", ","], None),
+            (["sweep", "--axis", "C", "--values", "0.5,0.50"], None),
+            (["sweep", "--axis", "C", "--values", "0.5,x"], None),
+            (["run", "--seeds=-1"], None),
+            (["run"], "-1"),
+            (["fedavg-ref"], "-1"),
+        ],
+    )
+    def test_rejected_command_leaves_no_out_dir(self, tmp_path, monkeypatch, argv, env_seed):
+        if env_seed is not None:
+            monkeypatch.setenv("KDIA_SEED", env_seed)
+        out = tmp_path / "out"
+        assert cli_main([*argv, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sweep_gen_weight_flag_holds_at_every_beta(self, tmp_path, monkeypatch):
+        seen = record_beta_and_gen_weight(monkeypatch)
+        cfg = tmp_path / "tiny.cfg"
+        keys = tiny_overrides(rounds=1, seeds=0)
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        rc = cli_main(["sweep", "--config", str(cfg), "--axis", "beta", "--values", "0.1,0.5",
+                       "--gen-weight", "0.3", "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert seen == [(0.1, 0.3), (0.5, 0.3)]
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -152,3 +152,54 @@ def test_benchmark_optimizer_suffix_reads_the_state_kind():
     kinds = {getattr(state, attr) for state in states}
     spans = {s for t in ("PER_ROUND_S", "PER_ROUND_CALLS") for s in perfbench_tables()[t]}
     assert {s.rsplit(".", 1)[1] for s in spans if s.startswith("nn.optimizer_step.")} == kinds
+
+
+# the Dirichlet-concentration presets of gen_weight, which only config.py resolves
+GEN_WEIGHT_PRESETS = ("GEN_WEIGHT_BY_BETA", "GEN_WEIGHT_FALLBACK")
+
+
+def gen_weight_writes(source: str) -> list[str]:
+    """Places that store a value under ``gen_weight`` (a dict key, a
+    subscript, a keyword or an attribute) or name a gen_weight preset."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        stored, named = [], None
+        if isinstance(node, ast.Dict):
+            stored = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            stored = [getattr(node.slice, "value", None)]
+        elif isinstance(node, ast.keyword):
+            stored = [node.arg]
+        elif isinstance(node, ast.Attribute):
+            stored = [node.attr] if isinstance(node.ctx, ast.Store) else []
+            named = node.attr
+        elif isinstance(node, ast.Name):
+            named = node.id
+        elif isinstance(node, ast.alias):
+            named = node.name
+        if "gen_weight" in stored or named in GEN_WEIGHT_PRESETS:
+            found.append(f"line {getattr(node, 'lineno', '?')}: {ast.unparse(node)}")
+    return found
+
+
+def test_gen_weight_guard_catches_every_write():
+    for source in (
+        'changes = {"beta": b}\nchanges["gen_weight"] = -1.0\n',
+        'changes = {"gen_weight": -1.0}\n',
+        "cfg = dataclasses.replace(cfg, gen_weight=-1.0)\n",
+        "cfg.gen_weight = 0.01\n",
+        "from .config import GEN_WEIGHT_BY_BETA\n",
+        "w = config.GEN_WEIGHT_FALLBACK\n",
+    ):
+        assert gen_weight_writes(source), source
+    assert not gen_weight_writes("if cfg.gen_weight > 0.0:\n    w = cfg.gen_weight * ce\n")
+
+
+def test_only_config_resolves_gen_weight():
+    offenders = {
+        path.name: writes
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "config.py"
+        and (writes := gen_weight_writes(path.read_text(encoding="utf-8")))
+    }
+    assert not offenders, offenders

@@ -8,7 +8,8 @@ from kdia.config import ExperimentConfig
 from kdia.errors import ConfigError
 
 
-def tiny_cfg(**kw):
+def tiny_overrides(**kw):
+    """The keys of a small, fast experiment, as ``parse_config`` overrides."""
     base = dict(
         n_classes=3,
         samples_per_class=40,
@@ -29,7 +30,11 @@ def tiny_cfg(**kw):
         seeds=(0,),
     )
     base.update(kw)
-    return ExperimentConfig(**base)
+    return base
+
+
+def tiny_cfg(**kw):
+    return ExperimentConfig(**tiny_overrides(**kw))
 
 
 class TestSampleClients:
@@ -108,6 +113,16 @@ class TestRunRound:
             orchestrator.run_round(state, t)
             assert (state.ledger.last_round >= prev).all()
             prev = state.ledger.last_round.copy()
+
+    def test_zero_local_epochs_with_generator_returns_global_model(self):
+        # every client holds fewer rows than one batch, so its label pool
+        # would be sized by the epoch count
+        cfg = tiny_cfg(local_epochs=0, batch_size=64)
+        state = orchestrator.build_state(cfg, master_seed=4)
+        theta0 = state.student.flat.copy()
+        rec = orchestrator.run_round(state, 0)
+        for k in rec.selected:
+            assert state.registry.stored[k].tobytes() == theta0.tobytes()
 
     def test_full_participation_num_mode_teacher_equals_student(self):
         cfg = tiny_cfg(sample_ratio=1.0, mode="num", disable_gen=True)

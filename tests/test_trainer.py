@@ -11,16 +11,17 @@ from kdia.gradcheck import fd_array_grad, max_relative_error
 
 
 class StubSynth:
-    """Fixed synthetic batch, for hand-checkable tests."""
+    """Fixed synthetic batch and its one-hot label rows, for hand-checkable
+    tests."""
 
-    def __init__(self, feats, labels):
+    def __init__(self, feats, labels, n_classes=3):
         self.feats = np.asarray(feats, dtype=np.float64)
-        self.labels = np.asarray(labels)
+        self.rows = nn.target_rows(labels, len(self.feats), n_classes)
         self.draws = 0
 
     def draw(self):
         self.draws += 1
-        return self.feats, self.labels
+        return self.feats, self.rows
 
 
 def kl_form_grad(student_logits, teacher_logits, tau, lam):
@@ -104,7 +105,7 @@ def per_batch_oracle(model, teacher, x, y, batch_fn, cfg, synth=None):
     stats = trainer.LocalStats()
     for epoch in range(cfg.local_epochs):
         if use_gen and not cfg.syn_per_batch:
-            syn_x, syn_y = synth.draw()
+            syn_x, syn_rows = synth.draw()
         for pos in batch_fn(epoch):
             logits = nn.forward(params, x[pos])
             ce, grad = nn.softmax_ce_loss(logits, y[pos])
@@ -119,9 +120,9 @@ def per_batch_oracle(model, teacher, x, y, batch_fn, cfg, synth=None):
             gen = 0.0
             if use_gen:
                 if cfg.syn_per_batch:
-                    syn_x, syn_y = synth.draw()
+                    syn_x, syn_rows = synth.draw()
                 syn_logits = nn.forward(params, syn_x, from_classifier_only=True)
-                gen_ce, gen_grad = nn.softmax_ce_loss(syn_logits, syn_y)
+                gen_ce, gen_grad = nn.softmax_ce_loss(syn_logits, syn_rows)
                 gen = cfg.gen_weight * gen_ce
                 head_grads = nn.backward(
                     params, syn_x, cfg.gen_weight * gen_grad, from_classifier_only=True
@@ -245,6 +246,24 @@ class TestLocalUpdate:
         # the labels, then the teacher's probability rows
         assert seen == ([1, 2] if kd_weight else [1])
 
+    def test_each_synthetic_draw_checked_once(self, monkeypatch):
+        x, y, model, teacher = self.setup_inputs(23)
+        real_target_rows = nn.target_rows
+        seen = []
+
+        def counting_target_rows(targets, n_rows, n_cols):
+            seen.append(np.asarray(targets).ndim)
+            return real_target_rows(targets, n_rows, n_cols)
+
+        monkeypatch.setattr(nn, "target_rows", counting_target_rows)
+        cfg = ExperimentConfig(local_epochs=4, kd_weight=0.0, gen_weight=0.3)
+        gen_model = make_random_model(323, [5, 6], 0)
+        synth = generator.LocalSynthesizer(gen_model, 3, len(x), cfg.local_epochs, 8, seed=9)
+        batch_fn = lambda epoch: [np.arange(4), np.arange(4, 8)]
+        update_one(model, teacher, x, y, batch_fn, cfg, synth=synth)
+        # the labels, then one check per synthetic draw (one draw an epoch)
+        assert seen == [1] * (1 + cfg.local_epochs)
+
     def test_bad_labels_rejected_before_any_step(self):
         x, y, model, teacher = self.setup_inputs(21)
         cfg = ExperimentConfig(local_epochs=1)
@@ -283,7 +302,7 @@ class TestLocalUpdate:
         teacher = nn.ModelParams([(np.array([teacher_w]), np.zeros(2))], 0)
         x = np.array([[1.0]])
         y = np.array([0])
-        syn = StubSynth([[0.7]], [1])
+        syn = StubSynth([[0.7]], [1], n_classes=2)
         lam_kd, lam_gen, tau, eta, wd = 0.5, 0.25, 2.0, 0.1, 0.01
         cfg = ExperimentConfig(
             local_epochs=1,
