@@ -152,6 +152,13 @@ class ExperimentConfig:
                 f"samples_per_class = {self.samples_per_class} with test_fraction = "
                 f"{self.test_fraction} leaves the {empty} split empty"
             )
+        rows = self.n_classes * (self.samples_per_class - cut)
+        if self.n_clients > rows:
+            raise ConfigError(
+                f"n_clients = {self.n_clients} exceeds the {rows} training rows "
+                f"of n_classes = {self.n_classes}, samples_per_class = "
+                f"{self.samples_per_class} and test_fraction = {self.test_fraction}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.mode not in WEIGHT_MODES:
@@ -160,6 +167,9 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ConfigError(f"seeds must be distinct, got {repeated[0]} twice")
         if not (self.gen_weight >= 0.0 or self.gen_weight == -1.0):
             raise ConfigError(f"gen_weight must be >= 0, got {self.gen_weight}")
         if self.gen_weight == -1.0:

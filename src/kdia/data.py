@@ -8,6 +8,7 @@ samples by cumulative shares.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,15 +64,12 @@ def make_blobs(
         min_dist = dists[~np.eye(n_classes, dtype=bool)].min()
         if min_dist < separation:
             centers *= separation / min_dist
-    features = np.empty((n_classes * samples_per_class, d_in))
-    labels = np.empty(n_classes * samples_per_class, dtype=np.int64)
-    for c in range(n_classes):
-        lo = c * samples_per_class
-        hi = lo + samples_per_class
-        features[lo:hi] = centers[c] + spread * rng.normal(
-            size=(samples_per_class, d_in)
-        )
-        labels[lo:hi] = c
+    # one draw for every class gives the stream of one draw per class in order
+    noise = rng.normal(size=(n_classes, samples_per_class, d_in))
+    noise *= spread
+    noise += centers[:, None, :]
+    features = noise.reshape(n_classes * samples_per_class, d_in)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), samples_per_class)
     return Dataset(features, labels, n_classes)
 
 
@@ -110,40 +108,53 @@ def dirichlet_partition(
 ) -> Partition:
     """Split the dataset across clients, one Dir(beta) proportion draw per class.
 
-    Empty clients are repaired by donating one sample from the currently
-    largest client, so every client ends up with at least one sample.
+    Each class's sample ids are shuffled, then cut by the cumulative shares of
+    its draw; a client's ids come out in ascending order. Empty clients are
+    then repaired in ascending id order: each takes the smallest sample id of
+    the currently largest client, the lowest id winning ties between equally
+    large donors, so every client ends up with at least one sample.
     """
     if n_clients < 1:
         raise ConfigError(f"n_clients must be >= 1, got {n_clients}")
     if beta <= 0:
         raise ConfigError(f"beta must be > 0, got {beta}")
-    if len(ds) < n_clients:
+    n = len(ds)
+    if n < n_clients:
         raise ConfigError(
-            f"dataset of {len(ds)} samples cannot cover {n_clients} clients"
+            f"dataset of {n} samples cannot cover {n_clients} clients"
         )
     rng = np.random.default_rng(seed)
-    buckets: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
+    parts = []
+    cuts = np.empty((ds.n_classes, n_clients), dtype=np.int64)
     for c in range(ds.n_classes):
         ix = np.flatnonzero(ds.labels == c)
         rng.shuffle(ix)
         shares = _dirichlet(rng, beta, n_clients)
-        cuts = np.floor(np.cumsum(shares) * len(ix)).astype(np.int64)
-        cuts[-1] = len(ix)
-        prev = 0
-        for k in range(n_clients):
-            buckets[k].append(ix[prev : cuts[k]])
-            prev = cuts[k]
-    client_indices = [
-        np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-        for parts in buckets
-    ]
-    # repair: move one sample from the largest client into each empty one
-    for k in range(n_clients):
-        while len(client_indices[k]) == 0:
-            donor = int(np.argmax([len(ix) for ix in client_indices]))
-            client_indices[k] = client_indices[donor][:1]
-            client_indices[donor] = client_indices[donor][1:]
-    return Partition(client_indices)
+        cuts[c] = np.floor(np.cumsum(shares) * len(ix))
+        cuts[c, -1] = len(ix)
+        parts.append(ix)
+    counts = np.diff(cuts, axis=1, prepend=0)  # class x client
+    clients = np.arange(n_clients)
+    owner = np.repeat(np.tile(clients, ds.n_classes), counts.ravel())
+    # one sort groups the ids by owner, ascending within each client
+    keys = owner * n + np.concatenate(parts)
+    keys.sort()
+    sizes = counts.sum(axis=0)
+    ids = keys - np.repeat(clients * n, sizes)
+    hi = np.cumsum(sizes)
+    lo = hi - sizes
+    # repair: a heap of (-size, id) over the clients that can spare a sample;
+    # while a client is empty the largest one has >= 2, since n >= n_clients
+    donors = np.flatnonzero(sizes >= 2)
+    heap = list(zip((-sizes[donors]).tolist(), donors.tolist()))
+    heapq.heapify(heap)
+    for k in np.flatnonzero(sizes == 0).tolist():
+        neg_size, donor = heapq.heappop(heap)
+        lo[k], hi[k] = lo[donor], lo[donor] + 1
+        lo[donor] += 1
+        if neg_size <= -3:
+            heapq.heappush(heap, (neg_size + 1, donor))
+    return Partition([ids[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
 
 
 def batches(n_rows: int, batch_size: int, epoch_seed):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,54 @@ from hypothesis import strategies as st
 
 from kdia import data, nn
 from kdia.errors import ConfigError, ParameterError
+
+
+def reference_make_blobs(n_classes, samples_per_class, d_in, spread, seed, separation=4.0):
+    """The per-class loop ``data.make_blobs`` replaced: one noise draw and
+    three full-class temporaries per class."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(n_classes, d_in))
+    if n_classes > 1:
+        diffs = centers[:, None, :] - centers[None, :, :]
+        dists = np.sqrt((diffs**2).sum(axis=2))
+        min_dist = dists[~np.eye(n_classes, dtype=bool)].min()
+        if min_dist < separation:
+            centers *= separation / min_dist
+    features = np.empty((n_classes * samples_per_class, d_in))
+    labels = np.empty(n_classes * samples_per_class, dtype=np.int64)
+    for c in range(n_classes):
+        lo = c * samples_per_class
+        hi = lo + samples_per_class
+        features[lo:hi] = centers[c] + spread * rng.normal(size=(samples_per_class, d_in))
+        labels[lo:hi] = c
+    return data.Dataset(features, labels, n_classes)
+
+
+def reference_partition(ds, n_clients, beta, seed):
+    """The per-client loop ``data.dirichlet_partition`` replaced: slices
+    appended per class and client, one sort per client, and a repair that
+    takes the argmax of every client's length once per empty client."""
+    rng = np.random.default_rng(seed)
+    buckets = [[] for _ in range(n_clients)]
+    for c in range(ds.n_classes):
+        ix = np.flatnonzero(ds.labels == c)
+        rng.shuffle(ix)
+        g = rng.gamma(beta, 1.0, size=n_clients)
+        while g.sum() <= 0.0:
+            g = rng.gamma(beta, 1.0, size=n_clients)
+        cuts = np.floor(np.cumsum(g / g.sum()) * len(ix)).astype(np.int64)
+        cuts[-1] = len(ix)
+        prev = 0
+        for k in range(n_clients):
+            buckets[k].append(ix[prev : cuts[k]])
+            prev = cuts[k]
+    client_indices = [np.sort(np.concatenate(parts)) for parts in buckets]
+    for k in range(n_clients):
+        while len(client_indices[k]) == 0:
+            donor = int(np.argmax([len(ix) for ix in client_indices]))
+            client_indices[k] = client_indices[donor][:1]
+            client_indices[donor] = client_indices[donor][1:]
+    return client_indices
 
 
 def entropy(hist):
@@ -44,6 +94,18 @@ class TestMakeBlobs:
             nn.optimizer_step(probe, grads, state)
         preds = nn.forward(probe, ds.features).argmax(axis=1)
         assert (preds == ds.labels).mean() >= 0.95
+
+    @given(
+        st.integers(1, 6), st.integers(1, 30), st.integers(1, 5),
+        st.floats(0.1, 5.0), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_per_class_reference(self, n_classes, per_class, d_in, spread, seed):
+        got = data.make_blobs(n_classes, per_class, d_in, spread, seed)
+        want = reference_make_blobs(n_classes, per_class, d_in, spread, seed)
+        for a, b in ((got.features, want.features), (got.labels, want.labels)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
 
     def test_bad_args_rejected(self):
         with pytest.raises(ParameterError):
@@ -113,6 +175,33 @@ class TestDirichletPartition:
         seen = np.concatenate(part.client_indices)
         assert len(seen) == len(np.unique(seen)) == len(ds)
         assert part.sizes().min() >= 1
+
+    @given(
+        st.integers(1, 6), st.integers(1, 40), st.sampled_from([0.01, 0.1, 0.5, 10.0]),
+        st.integers(0, 2**32 - 1), st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_client_reference(self, n_classes, per_class, beta, seed, draw):
+        # labels in random order, so each class's ids interleave with the others'
+        n = n_classes * per_class
+        labels = np.random.default_rng(seed).permutation(np.arange(n) % n_classes)
+        ds = data.Dataset(np.zeros((n, 1)), labels, n_classes)
+        n_clients = draw.draw(st.integers(1, n), label="n_clients")
+        got = data.dirichlet_partition(ds, n_clients, beta, seed).client_indices
+        want = reference_partition(ds, n_clients, beta, seed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_ten_thousand_clients_partition_quickly(self):
+        labels = np.arange(16_000) % 10
+        ds = data.Dataset(np.zeros((16_000, 1)), labels, 10)
+        start = time.perf_counter()
+        part = data.dirichlet_partition(ds, 10_000, beta=0.1, seed=0)
+        elapsed = time.perf_counter() - start
+        assert part.sizes().min() >= 1 and part.sizes().sum() == 16_000
+        assert elapsed < 0.5
 
 
 class TestBatches:

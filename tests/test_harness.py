@@ -134,12 +134,24 @@ class TestParseConfig:
             ("learning_rate", "inf"), ("spread", "inf"), ("part_floor", "inf"),
             ("kd_weight", "inf"), ("separation", "-inf"), ("gen_weight", "inf"),
             ("test_fraction", "0"), ("test_fraction", "1"), ("mode", "fedavg"),
-            ("seeds", ","), ("gen_weight", "-0.5"), ("seeds", "0,-1"),
+            ("seeds", ","), ("gen_weight", "-0.5"), ("seeds", "0,-1"), ("seeds", "0,1,0"),
         ],
     )
     def test_out_of_range_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             parse_config(overrides={key: value})
+
+    def test_n_clients_up_to_the_training_rows_accepted_and_run(self):
+        # 10 * 0.25 rounds to a test cut of 2, as train_test_split rounds it:
+        # 3 classes x 8 training rows
+        keys = tiny_overrides(samples_per_class=10, test_fraction=0.25, rounds=1,
+                              local_epochs=1, disable_gen=True)
+        with pytest.raises(ConfigError, match="^n_clients = 25 exceeds the 24 training rows"):
+            ExperimentConfig(**{**keys, "n_clients": 25})
+        cfg = ExperimentConfig(**{**keys, "n_clients": 24, "sample_ratio": 1.0})
+        result = orchestrator.run_experiment(cfg, 0)
+        assert result.state.partition.sizes().tolist() == [1] * 24
+        assert len(result.metrics) == 1
 
     def test_negative_env_seed_names_seeds(self, monkeypatch):
         monkeypatch.setenv("KDIA_SEED", "-1")
@@ -512,6 +524,12 @@ class TestCli:
             (["sweep", "--axis", "C", "--values", "0.5", "--seeds=0,-2", "--out-dir", "{tmp}"],
              "seeds must be >= 0, got -2"),
             (["fedavg-ref", "--seeds=-1", "--out-dir", "{tmp}"], "seeds"),
+            (["run", "--seeds", "0,0", "--out-dir", "{tmp}"], "seeds must be distinct, got 0 twice"),
+            # more clients than training rows, when the config is built
+            (["run", "--n-clients", "5000", "--out-dir", "{tmp}"],
+             "n_clients = 5000 exceeds the 4000 training rows"),
+            (["sweep", "--axis", "N", "--values", "20,5000", "--out-dir", "{tmp}"],
+             "n_clients = 5000"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
@@ -538,6 +556,8 @@ class TestCli:
             (["run", "--seeds=-1"], None),
             (["run"], "-1"),
             (["fedavg-ref"], "-1"),
+            (["run", "--n-clients", "5000"], None),
+            (["sweep", "--axis", "N", "--values", "20,5000"], None),
         ],
     )
     def test_rejected_command_leaves_no_out_dir(self, tmp_path, monkeypatch, argv, env_seed):
