@@ -26,7 +26,8 @@ for beta in (0.1, 0.5, 5.0):
     part = data.dirichlet_partition(train, n_clients=10, beta=beta, seed=7)
     sizes = part.sizes()
     entropies = [
-        client_entropy(data.label_histogram(part, train, k)) for k in range(10)
+        client_entropy(np.bincount(train.labels[ix], minlength=train.n_classes))
+        for ix in part.client_indices
     ]
     print(f"\nDir({beta}):  client sizes {sizes.tolist()}")
     print(f"  label-entropy per client: "
@@ -34,7 +35,7 @@ for beta in (0.1, 0.5, 5.0):
 
 # the most skewed case, class by class, for one client
 part = data.dirichlet_partition(train, n_clients=10, beta=0.1, seed=7)
-hist = data.label_histogram(part, train, 0)
+hist = np.bincount(train.labels[part.client_indices[0]], minlength=train.n_classes)
 print(f"\nclient 0 under Dir(0.1) holds {hist.sum()} samples with class counts:")
 print("  " + " ".join(f"{c}:{n}" for c, n in enumerate(hist)))
 

@@ -17,8 +17,9 @@ rng = np.random.default_rng(42)
 model = nn.he_uniform_init([6, 12, 4], 1, rng)
 x = rng.normal(size=(8, 6))
 y = rng.integers(0, 4, size=8)
-_, grad_logits = nn.softmax_ce_loss(nn.forward(model, x), y)
-analytic = nn.backward(model, x, grad_logits)
+logits, inputs = nn.forward_layers(model.layers, x)
+_, grad_logits = nn.softmax_ce_loss(logits, y)
+analytic = nn.backward_layers(model.layers, inputs, grad_logits)
 numeric = fd_model_grads(lambda p: nn.softmax_ce_loss(nn.forward(p, x), y)[0], model)
 worst = max_relative_error(analytic, numeric)
 print(f"dense+ReLU backprop vs finite differences: max rel error {worst:.2e}")

@@ -60,22 +60,17 @@ def _convex_combination(rows, weights) -> np.ndarray:
     return out
 
 
-def weighted_aggregate(models, weights) -> ModelParams:
-    """Convex combination of shape-identical models.
-
-    ``weights`` must sum to 1 within 1e-6. Summation runs in input order,
-    which callers fix to ascending client id.
+def aggregate_student(client_models, p) -> ModelParams:
+    """Student aggregate: the convex combination of the selected clients'
+    fresh, shape-identical updates with weights ``p``, which must sum to 1
+    within 1e-6. Summation runs in input order, which callers fix to
+    ascending client id.
     """
-    models = list(models)
+    models = list(client_models)
     if any(m.layout != models[0].layout for m in models[1:]):
         raise ShapeError("models have different architectures")
-    flat = _convex_combination([m.flat for m in models], weights)
+    flat = _convex_combination([m.flat for m in models], p)
     return ModelParams.from_flat(flat, models[0].layout)
-
-
-def aggregate_student(client_models, p) -> ModelParams:
-    """Student aggregate over the selected clients' fresh updates."""
-    return weighted_aggregate(client_models, p)
 
 
 def aggregate_teacher(reg: ModelRegistry, teacher_weights) -> ModelParams:

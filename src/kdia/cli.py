@@ -8,6 +8,7 @@ key=value file and explicit flags win over it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -41,14 +42,17 @@ def _cmd_run(args) -> int:
         raise ConfigError(
             f"--checkpoint-interval must be >= 0, got {args.checkpoint_interval}"
         )
-    harness.make_out_dir(args.out_dir)
+    ckpt_dirs = {}
+    if args.checkpoint_interval > 0:
+        ckpt_dirs = {s: os.path.join(args.out_dir, f"checkpoints-seed{s}") for s in cfg.seeds}
+    # every output directory exists before the first run
+    for path in (args.out_dir, *ckpt_dirs.values()):
+        harness.make_out_dir(path)
     for seed in cfg.seeds:
         hook = None
-        if args.checkpoint_interval > 0:
-            ckpt_dir = os.path.join(args.out_dir, f"checkpoints-seed{seed}")
-            os.makedirs(ckpt_dir, exist_ok=True)
+        if ckpt_dirs:
 
-            def hook(t, state, rec, _dir=ckpt_dir):
+            def hook(t, state, rec, _dir=ckpt_dirs[seed]):
                 if (t + 1) % args.checkpoint_interval == 0:
                     models = (
                         ("student", state.student),
@@ -93,25 +97,30 @@ def _cmd_similarity(args) -> int:
             f"{args.gen_checkpoint}: maps {gen.input_width} -> {gen.layers[-1][0].shape[1]}, "
             f"not noise_dim + n_classes = {expected[0]} -> feature_dim = {expected[1]}"
         )
-    seed = cfg.seeds[0]
-    state = orchestrator.build_state(cfg, seed)
-    # reference is trained centrally on the pooled training split
-    reference = harness.train_centralized_reference(
-        state.train_ds, cfg, seed=seed, epochs=args.reference_epochs
-    )
-    ref_acc = trainer.evaluate(reference, state.test_ds.features, state.test_ds.labels)
-    if gen is None:
-        gen = orchestrator.run_experiment(cfg, seed).state.gen
-    sims = harness.feature_similarity(gen, reference, state.train_ds, seed=seed)
-    print(f"centralized reference accuracy: {ref_acc:.4f}")
-    for c, s in enumerate(sims):
-        print(f"class {c}: mean cosine similarity {s:.4f}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("class,mean_cosine\n")
+    # opened before any training, so a path that cannot be written fails at once
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
+    with out or contextlib.nullcontext():
+        seed = cfg.seeds[0]
+        state = orchestrator.build_state(cfg, seed)
+        # reference is trained centrally on the pooled training split
+        reference = harness.train_centralized_reference(
+            state.train_ds, cfg, seed=seed, epochs=args.reference_epochs
+        )
+        ref_acc = trainer.evaluate(reference, state.test_ds.features, state.test_ds.labels)
+        if gen is None:
+            gen = orchestrator.run_experiment(cfg, seed).state.gen
+        sims = harness.feature_similarity(gen, reference, state.train_ds, seed=seed)
+        print(f"centralized reference accuracy: {ref_acc:.4f}")
+        for c, s in enumerate(sims):
+            print(f"class {c}: mean cosine similarity {s:.4f}")
+        if out:
+            out.write("class,mean_cosine\n")
             for c, s in enumerate(sims):
-                fh.write(f"{c},{s:.6f}\n")
-        print(f"wrote {args.out}")
+                out.write(f"{c},{s:.6f}\n")
+            print(f"wrote {args.out}")
     return 0
 
 

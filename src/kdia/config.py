@@ -37,6 +37,9 @@ _RANGES = (
         "separation", "part_floor", "local_epochs", "weight_decay", "kd_weight",
         "diversity_weight", "gen_weight_decay",
     )),
+    ("in (0, 1]", lambda v: 0 < v <= 1, ("sample_ratio",)),
+    ("in (0, 1)", lambda v: 0 < v < 1, ("test_fraction",)),
+    ("in [0, 1)", lambda v: 0 <= v < 1, ("momentum",)),
 )
 
 _BOOL_WORDS = {
@@ -140,10 +143,6 @@ class ExperimentConfig:
                 value = getattr(self, key)
                 if not holds(value):
                     raise ConfigError(f"{key} must be {rule}, got {value!r}")
-        if not 0.0 < self.sample_ratio <= 1.0:
-            raise ConfigError(f"sample_ratio must be in (0, 1], got {self.sample_ratio}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         # the per-class cut of data.train_test_split
         cut = int(round(self.samples_per_class * self.test_fraction))
         if cut in (0, self.samples_per_class):
@@ -159,8 +158,6 @@ class ExperimentConfig:
                 f"of n_classes = {self.n_classes}, samples_per_class = "
                 f"{self.samples_per_class} and test_fraction = {self.test_fraction}"
             )
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.mode not in WEIGHT_MODES:
             raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
         if not self.seeds:

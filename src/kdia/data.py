@@ -169,8 +169,3 @@ def batches(n_rows: int, batch_size: int, epoch_seed):
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng(epoch_seed).permutation(n_rows)
     return [order[lo : lo + batch_size] for lo in range(0, n_rows, batch_size)]
-
-
-def label_histogram(part: Partition, ds: Dataset, client_id: int) -> np.ndarray:
-    ix = part.client_indices[client_id]
-    return np.bincount(ds.labels[ix], minlength=ds.n_classes)

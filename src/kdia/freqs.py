@@ -55,10 +55,6 @@ class ClientLedger:
         self.last_round[sel] = t
         self.part_counts[sel] += 1
 
-    @property
-    def any_participation(self) -> bool:
-        return bool(self.part_counts.sum() > 0)
-
     def interval_freqs(self, t: int) -> np.ndarray:
         """exp(-(t - t_k)) over all clients, normalized with a max-shift."""
         if t < 0:
@@ -148,8 +144,6 @@ def round_weights(
     part_floor: float = 0.0,
 ) -> FreqWeights:
     """All weight vectors for round ``t``; call after ``record_round``."""
-    if not ledger.any_participation:
-        raise ParameterError("weights requested before any recorded round")
     f_intv = ledger.interval_freqs(t)
     f_part = ledger.participation_freqs()
     f_num = ledger.volume_freqs()

@@ -55,10 +55,11 @@ def max_relative_error(analytic, numeric, floor: float = 1e-3) -> float:
 
 
 def _dense_ce_error(model: nn.ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    """Worst relative error of ``nn.backward`` through softmax cross-entropy,
-    over every weight and bias of ``model``."""
-    _, grad_logits = nn.softmax_ce_loss(nn.forward(model, x), y)
-    analytic = nn.backward(model, x, grad_logits)
+    """Worst relative error of ``nn.backward_layers`` through softmax
+    cross-entropy, over every weight and bias of ``model``."""
+    logits, inputs = nn.forward_layers(model.layers, x)
+    _, grad_logits = nn.softmax_ce_loss(logits, y)
+    analytic = nn.backward_layers(model.layers, inputs, grad_logits)
     numeric = fd_model_grads(
         lambda p: nn.softmax_ce_loss(nn.forward(p, x), y)[0], model
     )

@@ -68,13 +68,15 @@ def read_metrics(path):
 
 
 def make_out_dir(path) -> None:
-    """Create the output directory ``path`` (``--out-dir``) unless it exists;
-    a path that cannot be one (an existing regular file, say) is a
-    ``ConfigError``."""
+    """Create the output directory ``path`` (``--out-dir`` or a directory
+    under it) unless it exists. Any ``OSError`` (an existing regular file,
+    a missing or read-only parent) is a ``ConfigError`` naming ``path``."""
     try:
         os.makedirs(path, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"--out-dir {path}: not a directory") from exc
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {path}: {exc.strerror}") from exc
 
 
 def sweep(path, overrides: dict, axis: str, values, out_dir) -> dict:

@@ -8,8 +8,8 @@ generated features enter the model.
 
 Every model, gradient and optimizer slot is one contiguous float64 vector in
 the same order as the checkpoint body: per layer, the row-major weight, then
-the bias. Whole-model operations (copy, compare, optimizer steps,
-aggregation) act on that vector; the matmuls act on per-layer views of it.
+the bias. Whole-model operations (copy, optimizer steps, aggregation) act
+on that vector; the matmuls act on per-layer views of it.
 
 Backward passes return only that flat parameter gradient, never the
 gradient with respect to the batch. ``optimizer_step`` is the one function
@@ -120,11 +120,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.flat.copy(), self.layout)
-
-
-def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    """Bit-exact equality of two models."""
-    return a.layout == b.layout and np.array_equal(a.flat, b.flat)
 
 
 def he_uniform_init(

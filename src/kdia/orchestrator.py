@@ -30,12 +30,12 @@ _TAG_INIT, _TAG_GEN_INIT = 3, 4
 _TAG_SAMPLE, _TAG_BATCH, _TAG_SYNTH, _TAG_GEN = 5, 6, 7, 8
 
 
-def seed_for(master_seed: int, *tags: int) -> np.random.SeedSequence:
+def _seed_for(master_seed: int, *tags: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(master_seed), *[int(t) for t in tags]])
 
 
-def rng_for(master_seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(seed_for(master_seed, *tags))
+def _rng_for(master_seed: int, *tags: int) -> np.random.Generator:
+    return np.random.default_rng(_seed_for(master_seed, *tags))
 
 
 def sample_clients(
@@ -88,19 +88,19 @@ def _setup(cfg: ExperimentConfig, master_seed: int):
         cfg.samples_per_class,
         cfg.d_in,
         cfg.spread,
-        seed=seed_for(master_seed, _TAG_DATA),
+        seed=_seed_for(master_seed, _TAG_DATA),
         separation=cfg.separation,
     )
     train_ds, test_ds = data.train_test_split(
-        ds, cfg.test_fraction, seed=seed_for(master_seed, _TAG_SPLIT)
+        ds, cfg.test_fraction, seed=_seed_for(master_seed, _TAG_SPLIT)
     )
     partition = data.dirichlet_partition(
-        train_ds, cfg.n_clients, cfg.beta, seed=seed_for(master_seed, _TAG_PART)
+        train_ds, cfg.n_clients, cfg.beta, seed=_seed_for(master_seed, _TAG_PART)
     )
     model = nn.he_uniform_init(
         [cfg.d_in, cfg.feature_dim, cfg.n_classes],
         1,
-        rng_for(master_seed, _TAG_INIT),
+        _rng_for(master_seed, _TAG_INIT),
     )
     return train_ds, test_ds, partition, model
 
@@ -119,7 +119,7 @@ def build_state(cfg: ExperimentConfig, master_seed: int) -> FedState:
             cfg.n_classes,
             cfg.feature_dim,
             cfg.gen_hidden,
-            rng_for(master_seed, _TAG_GEN_INIT),
+            _rng_for(master_seed, _TAG_GEN_INIT),
         )
     ledger = freqs.ClientLedger(partition.sizes())
     return FedState(
@@ -135,7 +135,7 @@ def _client_batch_fn(state: FedState, t: int, client_id: int):
         return data.batches(
             n_rows,
             state.cfg.batch_size,
-            epoch_seed=seed_for(state.master_seed, _TAG_BATCH, t, client_id, epoch),
+            epoch_seed=_seed_for(state.master_seed, _TAG_BATCH, t, client_id, epoch),
         )
 
     return batch_fn
@@ -158,7 +158,7 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
     phase and the client(s) at fault, chained to the original error."""
     cfg = state.cfg
     selected = sample_clients(
-        cfg.n_clients, cfg.sample_ratio, seed_for(state.master_seed, _TAG_SAMPLE, t)
+        cfg.n_clients, cfg.sample_ratio, _seed_for(state.master_seed, _TAG_SAMPLE, t)
     )
     clients = []
     for k in selected:
@@ -171,7 +171,7 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
                 len(rows),
                 cfg.local_epochs,
                 cfg.batch_size,
-                seed=seed_for(state.master_seed, _TAG_SYNTH, t, k),
+                seed=_seed_for(state.master_seed, _TAG_SYNTH, t, k),
             )
         clients.append(trainer.Client(rows, _client_batch_fn(state, t, int(k)), synth))
     try:
@@ -216,7 +216,7 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
                 state.student,
                 len(updates),
                 cfg,
-                seed=seed_for(state.master_seed, _TAG_GEN, t),
+                seed=_seed_for(state.master_seed, _TAG_GEN, t),
             )
         except ArithmeticError as exc:
             raise _round_error(
@@ -304,9 +304,10 @@ def fedavg_reference(
     """Plain federated averaging, written as its own straight-line loop.
 
     Shares the setup (data, partition, initial model) and the primitives
-    (seed streams, forward/backward/step) with the main loop; the round logic
-    is reimplemented so the two paths can be compared bit-for-bit when the
-    main loop runs with distillation and generation disabled.
+    (seed streams, the layer kernels, the optimizer step) with the main
+    loop; the round logic is reimplemented so the two paths can be compared
+    bit-for-bit when the main loop runs with distillation and generation
+    disabled.
     """
     rounds = cfg.rounds if rounds is None else rounds
     train_ds, test_ds, part, model = _setup(cfg, master_seed)
@@ -314,7 +315,7 @@ def fedavg_reference(
     per_round_models, accs, selected_sets = [], [], []
     for t in range(rounds):
         selected = sample_clients(
-            cfg.n_clients, cfg.sample_ratio, seed_for(master_seed, _TAG_SAMPLE, t)
+            cfg.n_clients, cfg.sample_ratio, _seed_for(master_seed, _TAG_SAMPLE, t)
         )
         selected_sets.append([int(k) for k in selected])
         locals_ = []
@@ -328,12 +329,13 @@ def fedavg_reference(
                 for pos in data.batches(
                     len(ix),
                     cfg.batch_size,
-                    epoch_seed=seed_for(master_seed, _TAG_BATCH, t, int(k), epoch),
+                    epoch_seed=_seed_for(master_seed, _TAG_BATCH, t, int(k), epoch),
                 ):
                     x, y = train_ds.features[ix[pos]], train_ds.labels[ix[pos]]
-                    logits = nn.forward(params, x)
+                    logits, inputs = nn.forward_layers(params.layers, x)
                     _, grad = nn.softmax_ce_loss(logits, y)
-                    nn.optimizer_step(params, nn.backward(params, x, grad), st)
+                    grads = nn.backward_layers(params.layers, inputs, grad)
+                    nn.optimizer_step(params, grads, st)
             locals_.append(params)
         p = sizes[selected] / sizes[selected].sum()
         agg = [

@@ -235,14 +235,8 @@ def local_update(
             stacked = None
             if members[0][2] is not None:
                 stacked = tuple(np.stack([s[k] for _, _, s in members]) for k in (0, 1))
-            # consecutive clients step views of their rows in place; others
-            # step a gathered copy that is written back
-            gathered = ids[-1] - ids[0] != len(ids) - 1
-            if gathered:
-                index = np.array(ids)
-                th, v = theta[index], vel[index]
-            else:
-                th, v = theta[ids[0] : ids[-1] + 1], vel[ids[0] : ids[-1] + 1]
+            # the group steps a gathered copy of its rows, written back after
+            th, v = theta[ids], vel[ids]
             try:
                 ce, kd, gen = step(th, v, rows, stacked)
             except (ArithmeticError, ValueError) as exc:
@@ -253,8 +247,7 @@ def local_update(
                     failed[ids[0]] = exc
                     del loops[ids[0]]
                 continue
-            if gathered:
-                theta[index], vel[index] = th, v
+            theta[ids], vel[ids] = th, v
             for g, i in enumerate(ids):
                 stats[i].ce.append(float(ce[g]))
                 stats[i].kd.append(0.0 if kd is None else float(kd[g]))

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import params_equal
 from kdia import aggregate, freqs, generator, harness, nn, orchestrator, trainer
 from kdia.config import heterogeneity_benchmark_config
 from kdia.gradcheck import run_suite
@@ -146,13 +147,13 @@ def test_04_aggregation_oracle():
         ]
         raw = rng.uniform(0.05, 1.0, size=n_models)
         weights = raw / raw.sum()
-        fast = aggregate.weighted_aggregate(models, weights)
+        fast = aggregate.aggregate_student(models, weights)
         slow = scalar_loop_aggregate(models, weights)
         for (fw, fb), (sw, sb) in zip(fast.layers, slow.layers):
             worst = max(worst, np.abs(fw - sw).max(), np.abs(fb - sb).max())
     # identical-model fixed point
     model = nn.he_uniform_init([3, 4, 2], 1, np.random.default_rng(9))
-    out = aggregate.weighted_aggregate([model] * 4, [0.1, 0.2, 0.3, 0.4])
+    out = aggregate.aggregate_student([model] * 4, [0.1, 0.2, 0.3, 0.4])
     fixed = max(
         np.abs(w - ow).max()
         for (w, _), (ow, _) in zip(model.layers, out.layers)
@@ -202,7 +203,7 @@ def test_05_fedavg_degeneration():
         ours.append(state.student.copy())
     ref = orchestrator.fedavg_reference(cfg, master_seed=0)
     identical = all(
-        nn.params_equal(mine, theirs)
+        params_equal(mine, theirs)
         for mine, theirs in zip(ours, ref.round_models)
     )
     report(

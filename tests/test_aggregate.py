@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_model
+from conftest import make_random_model, params_equal
 from kdia import aggregate, nn
 from kdia.errors import ProtocolError, ShapeError
 
@@ -91,7 +91,7 @@ class TestRegistry:
 class TestWeightedAggregate:
     def test_identical_models_fixed_point(self):
         model = make_random_model(11, [3, 5, 2], 1)
-        out = aggregate.weighted_aggregate(
+        out = aggregate.aggregate_student(
             [model, model, model], [0.2, 0.5, 0.3]
         )
         for (w, b), (ow, ob) in zip(model.layers, out.layers):
@@ -101,14 +101,14 @@ class TestWeightedAggregate:
     def test_two_scalar_models(self):
         a = nn.ModelParams([(np.array([[0.0]]), np.zeros(1))], 0)
         b = nn.ModelParams([(np.array([[1.0]]), np.zeros(1))], 0)
-        out = aggregate.weighted_aggregate([a, b], [0.3, 0.7])
+        out = aggregate.aggregate_student([a, b], [0.3, 0.7])
         assert out.layers[0][0][0, 0] == pytest.approx(0.7, abs=1e-15)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(13)
         models = [make_random_model(100 + i, [3, 4, 2], 1) for i in range(5)]
         weights = random_weights(rng, 5)
-        fast = aggregate.weighted_aggregate(models, weights)
+        fast = aggregate.aggregate_student(models, weights)
         slow = scalar_loop_aggregate(models, weights)
         for (fw, fb), (sw, sb) in zip(fast.layers, slow.layers):
             assert np.abs(fw - sw).max() < 1e-12
@@ -117,7 +117,7 @@ class TestWeightedAggregate:
     def test_weight_sum_violation_rejected(self):
         models = [make_random_model(20, [2, 3], 1)] * 2
         with pytest.raises(ProtocolError):
-            aggregate.weighted_aggregate(models, [0.5, 0.6])
+            aggregate.aggregate_student(models, [0.5, 0.6])
 
     @pytest.mark.parametrize(
         "weights,named",
@@ -132,19 +132,19 @@ class TestWeightedAggregate:
     def test_length_mismatch_rejected(self):
         models = [make_random_model(21, [2, 3], 1)] * 2
         with pytest.raises(ShapeError):
-            aggregate.weighted_aggregate(models, [1.0])
+            aggregate.aggregate_student(models, [1.0])
 
     def test_architecture_mismatch_rejected(self):
         models = [make_random_model(33, [4, 6, 3], 1), make_random_model(34, [4, 6, 4], 1)]
         with pytest.raises(ShapeError):
-            aggregate.weighted_aggregate(models, [0.5, 0.5])
+            aggregate.aggregate_student(models, [0.5, 0.5])
 
     def test_inputs_not_mutated(self):
         models = [make_random_model(30 + i, [2, 3], 1) for i in range(3)]
         before = [m.copy() for m in models]
-        aggregate.weighted_aggregate(models, [0.2, 0.3, 0.5])
+        aggregate.aggregate_student(models, [0.2, 0.3, 0.5])
         for m, b in zip(models, before):
-            assert nn.params_equal(m, b)
+            assert params_equal(m, b)
 
     @given(st.integers(0, 5000), st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
@@ -152,13 +152,13 @@ class TestWeightedAggregate:
         rng = np.random.default_rng(seed)
         models = [make_random_model(seed * 7 + i, [2, 3], 1) for i in range(n_models)]
         weights = random_weights(rng, n_models)
-        out = aggregate.weighted_aggregate(models, weights)
+        out = aggregate.aggregate_student(models, weights)
         shift = 0.73
         shifted = [
             nn.ModelParams([(w + shift, b + shift) for w, b in m.layers], 1)
             for m in models
         ]
-        out_shifted = aggregate.weighted_aggregate(shifted, weights)
+        out_shifted = aggregate.aggregate_student(shifted, weights)
         for (w, b), (sw, sb) in zip(out.layers, out_shifted.layers):
             assert np.abs(sw - (w + shift)).max() < 1e-12
             assert np.abs(sb - (b + shift)).max() < 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_model
+from conftest import make_random_model, params_equal
 from kdia import aggregate, generator, nn
 from kdia.config import ExperimentConfig
 from kdia.errors import ParameterError, ShapeError
@@ -251,7 +251,7 @@ class TestTrainGenerator:
             a *= 0.5
         literal, lt = generator.train_generator(gen, clf, 2, small_cfg(eq3_literal=True), 3)
         plain, pt = generator.train_generator(gen, halved, 2, small_cfg(), 3)
-        assert nn.params_equal(literal, plain)
+        assert params_equal(literal, plain)
         assert np.array_equal(lt["ce"], pt["ce"])
 
     def test_label_pool_checked_once_per_call(self, monkeypatch):
@@ -294,11 +294,11 @@ class TestTrainGenerator:
         before = snap.copy()
         cfg = small_cfg()
         out1, _ = generator.train_generator(gen, snap, 1, cfg, seed=7)
-        assert nn.params_equal(snap, before)
+        assert params_equal(snap, before)
         out2, _ = generator.train_generator(gen, snap, 1, cfg, seed=7)
-        assert nn.params_equal(out1, out2)
+        assert params_equal(out1, out2)
         # input generator itself untouched
-        assert nn.params_equal(gen, make_generator(24, n_classes=3, feature_dim=6))
+        assert params_equal(gen, make_generator(24, n_classes=3, feature_dim=6))
 
     def test_ce_improves_on_trained_classifier(self):
         # frozen 2-class classifier trained on separable blob features

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import re
 from pathlib import Path
@@ -530,11 +531,32 @@ class TestCli:
              "n_clients = 5000 exceeds the 4000 training rows"),
             (["sweep", "--axis", "N", "--values", "20,5000", "--out-dir", "{tmp}"],
              "n_clients = 5000"),
+            # an output path that cannot be written, before any run
+            (["run", "--checkpoint-interval", "1", "--seeds", "0,1", "--out-dir", "{tmp}/ck"],
+             "--out-dir {tmp}/ck/checkpoints-seed1: not a directory"),
+            (["similarity", "--out", "{tmp}/missing/x.csv"], "--out {tmp}/missing/x.csv"),
+            (["similarity", "--out", "{tmp}"], "--out {tmp}"),
+            (["run", "--out-dir", "{tmp}/denied"], "--out-dir {tmp}/denied: Permission denied"),
+            (["fedavg-ref", "--out-dir", "{tmp}/denied"], "--out-dir {tmp}/denied"),
         ],
     )
-    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, argv, named):
         (tmp_path / "junk.ckpt").write_bytes(b"\xffnot a checkpoint")
         (tmp_path / "afile").write_text("a file, not a directory\n")
+        (tmp_path / "ck").mkdir()
+        (tmp_path / "ck" / "checkpoints-seed1").write_text("a file\n")
+        # a directory that cannot be created, which a root user cannot make happen
+        makedirs = os.makedirs
+
+        def denied(path, *args, **kwargs):
+            if os.path.basename(path) == "denied":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", denied)
+        # no run may start before every output path is checked
+        monkeypatch.setattr(orchestrator, "run_experiment", None)
+        monkeypatch.setattr(harness, "train_centralized_reference", None)
         (tmp_path / "twice.cfg").write_text("rounds = 1\nrounds = 2\n")
         # a generator from a feature_dim=16 run, and a student, under the default config
         cfg, rng = ExperimentConfig(), np.random.default_rng(0)

@@ -14,7 +14,8 @@ from kdia.config import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kdia"
-PERFBENCH_RUN = ROOT / "perfbench" / "run.py"
+PERFBENCH = ROOT / "perfbench"
+PERFBENCH_RUN = PERFBENCH / "run.py"
 # span-name tables of the benchmark that must name kdia functions
 SPAN_TABLES = ("STAGES", "PER_ROUND_S", "PER_ROUND_CALLS", "SUFFIX")
 MODULES = {path.stem for path in SRC.glob("*.py")}
@@ -203,3 +204,58 @@ def test_only_config_resolves_gen_weight():
         and (writes := gen_weight_writes(path.read_text(encoding="utf-8")))
     }
     assert not offenders, offenders
+
+
+# public code with no caller in src/ or perfbench/ yet; ``kdia report``
+# (ROADMAP item 4) is to read metrics files back through it
+TEST_ONLY_EXCEPTIONS = ["harness.read_metrics"]
+
+
+def public_definitions(source: str, module: str) -> dict[str, str]:
+    """{``module.name`` or ``module.Class.method``: bare name} for every
+    public top-level function and class of ``source`` and every public
+    method of those classes."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found[f"{module}.{node.name}"] = node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found[f"{module}.{node.name}.{item.name}"] = item.name
+    return found
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names ``source`` reads, bare (``f``) or as an attribute (``x.f``);
+    an import alone reads nothing."""
+    return attribute_reads(source) | {
+        node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_definition_and_read_guards_see_what_they_should():
+    source = (
+        "class A:\n    def m(self): pass\n    def _p(self): pass\n"
+        "def f(): pass\ndef _g(): pass\n"
+    )
+    assert public_definitions(source, "mod") == {"mod.A": "A", "mod.A.m": "m", "mod.f": "f"}
+    assert loaded_names("from .mod import f\nx.m()\nA()\ny = 1\n") == {"x", "m", "A"}
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # the names the package exports are its library API
+    read = set(importlib.import_module("kdia").__all__).union(
+        *(loaded_names(path.read_text(encoding="utf-8"))
+          for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")])
+    )
+    unread = sorted(
+        qualified
+        for path in SRC.glob("*.py")
+        for qualified, name in public_definitions(
+            path.read_text(encoding="utf-8"), path.stem
+        ).items()
+        if name not in read
+    )
+    assert unread == TEST_ONLY_EXCEPTIONS

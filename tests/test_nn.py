@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_model
+from conftest import make_random_model, params_equal
 from kdia import nn
 from kdia.errors import ParameterError, ProtocolError, ShapeError
 from kdia.gradcheck import fd_array_grad, fd_model_grads, max_relative_error
@@ -278,7 +278,7 @@ class TestOptimizerStep:
         before = params.copy()
         state = nn.sgd_state(params, learning_rate=0.1)
         nn.optimizer_step(params, np.zeros_like(params.flat), state)
-        assert nn.params_equal(params, before)
+        assert params_equal(params, before)
 
     def test_single_sgd_step_scalar(self):
         params = nn.ModelParams([(np.array([[1.0]]), np.zeros(1))], 0)
@@ -356,7 +356,7 @@ class TestOptimizerStep:
         assert state.step_count == 1
         # the gradient, a copy of the model and another state did not
         assert np.array_equal(grads, grads_before)
-        assert nn.params_equal(other, before)
+        assert params_equal(other, before)
         assert not any(slot.any() for slot in other_state.slots)
         assert other_state.step_count == 0
 
@@ -373,7 +373,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         nn.save_checkpoint(params, path)
         loaded = nn.load_checkpoint(path)
-        assert nn.params_equal(loaded, params)
+        assert params_equal(loaded, params)
         assert loaded.split_index == 1
 
     def test_magic_enforced(self, tmp_path):
@@ -459,7 +459,7 @@ class TestModelParams:
         dup = params.copy()
         assert not np.shares_memory(dup.flat, params.flat)
         dup.layers[0][0][0, 0] += 1.0
-        assert not nn.params_equal(dup, params)
+        assert not params_equal(dup, params)
 
     def test_layers_are_views_of_flat(self):
         params = make_random_model(72, [3, 4, 2], split_index=1)

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kdia import generator, nn, orchestrator, trainer
+from conftest import params_equal
+from kdia import generator, orchestrator, trainer
 from kdia.config import ExperimentConfig
 from kdia.errors import ConfigError
 
@@ -129,7 +130,7 @@ class TestRunRound:
         state = orchestrator.build_state(cfg, master_seed=3)
         for t in range(2):
             rec = orchestrator.run_round(state, t)
-            assert nn.params_equal(state.teacher, state.student)
+            assert params_equal(state.teacher, state.student)
             assert rec.teacher_acc == rec.student_acc
 
 
@@ -143,7 +144,7 @@ class TestFedAvgDegeneration:
             ours.append(state.student.copy())
         ref = orchestrator.fedavg_reference(cfg, master_seed=7)
         for mine, theirs in zip(ours, ref.round_models):
-            assert nn.params_equal(mine, theirs)
+            assert params_equal(mine, theirs)
 
     def test_enabled_run_differs_from_reference(self):
         cfg = tiny_cfg(rounds=2, kd_weight=0.5, gen_weight=0.5)
@@ -151,7 +152,7 @@ class TestFedAvgDegeneration:
         for t in range(cfg.rounds):
             orchestrator.run_round(state, t)
         ref = orchestrator.fedavg_reference(cfg, master_seed=7, rounds=2)
-        assert not nn.params_equal(state.student, ref.round_models[-1])
+        assert not params_equal(state.student, ref.round_models[-1])
 
 
 class TestRunExperiment:
@@ -161,7 +162,7 @@ class TestRunExperiment:
         b = orchestrator.run_experiment(cfg, master_seed=11)
         for ra, rb in zip(a.metrics, b.metrics):
             assert ra == rb
-        assert nn.params_equal(a.final_model, b.final_model)
+        assert params_equal(a.final_model, b.final_model)
 
     def test_final_model_by_performance(self):
         cfg = tiny_cfg(rounds=3)

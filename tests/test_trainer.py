@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_model
+from conftest import make_random_model, params_equal
 from kdia import data, generator, nn, trainer
 from kdia.config import ExperimentConfig
 from kdia.errors import ConfigError, ParameterError, ShapeError
@@ -171,7 +171,7 @@ class TestLocalUpdate:
             logits = nn.forward(params, x)
             _, grad = nn.softmax_ce_loss(logits, y)
             nn.optimizer_step(params, nn.backward(params, x, grad), state)
-        assert nn.params_equal(ours, params)
+        assert params_equal(ours, params)
 
     @pytest.mark.parametrize("tau_squared", [False, True])
     def test_kd_matches_textbook_oracle_bitwise(self, tau_squared):
@@ -201,7 +201,7 @@ class TestLocalUpdate:
                 grads = nn.backward(params, x[pos], ce_grad + scale * kd_grad)
                 nn.optimizer_step(params, grads, state)
                 kd_trace.append(scale * kd)
-        assert nn.params_equal(ours, params)
+        assert params_equal(ours, params)
         assert stats.kd == kd_trace
 
     @pytest.mark.parametrize("kd_weight", [0.0, 0.7])
@@ -226,7 +226,7 @@ class TestLocalUpdate:
 
         ours = update_one(model, teacher, x, y, batch_fn, cfg, synth=synth())
         oracle = per_batch_oracle(model, teacher, x, y, batch_fn, cfg, synth=synth())
-        assert nn.params_equal(ours[0], oracle[0])
+        assert params_equal(ours[0], oracle[0])
         assert ours[1] == oracle[1]
 
     @pytest.mark.parametrize("kd_weight", [0.0, 0.5])
@@ -291,7 +291,7 @@ class TestLocalUpdate:
         x, y, model, teacher = self.setup_inputs()
         cfg = ExperimentConfig(local_epochs=0, gen_weight=0.01)
         out, stats = update_one(model, teacher, x, y, whole_batch(x), cfg)
-        assert nn.params_equal(out, model)
+        assert params_equal(out, model)
         assert stats.ce == stats.kd == stats.gen == []
 
     def test_single_step_matches_scalar_oracle(self):
@@ -352,7 +352,7 @@ class TestLocalUpdate:
         syn = StubSynth(np.abs(np.random.default_rng(8).normal(size=(4, 6))), [0, 1, 2, 0])
         cfg = ExperimentConfig(local_epochs=2, gen_weight=0.1)
         update_one(model, teacher, x, y, whole_batch(x), cfg, synth=syn)
-        assert nn.params_equal(teacher, teacher_before)
+        assert params_equal(teacher, teacher_before)
 
     def test_one_synth_draw_per_epoch_by_default(self):
         x, y, model, teacher = self.setup_inputs(9)
@@ -382,7 +382,7 @@ class TestLocalUpdate:
         b, _ = update_one(
             model, teacher, x, y, whole_batch(x), cfg, synth=StubSynth(syn_feats, [0, 1, 2, 0])
         )
-        assert nn.params_equal(a, b)
+        assert params_equal(a, b)
 
     def test_empty_batches_rejected(self):
         x, y, model, _ = self.setup_inputs(15)
@@ -450,7 +450,7 @@ class TestLockstep:
             oracle = per_batch_oracle(
                 model, teacher, xi, yi, batch_fn(i), cfg, synth=self.synth(cfg, len(xi), i)
             )
-            assert nn.params_equal(models[i], oracle[0]), i
+            assert params_equal(models[i], oracle[0]), i
             assert stats[i] == oracle[1], i
 
     def test_clients_with_and_without_synth_mix(self):
@@ -463,7 +463,7 @@ class TestLockstep:
         for i, (xi, yi) in enumerate(parts):
             synth = self.synth(cfg, len(xi), i) if i % 2 else None
             oracle = per_batch_oracle(model, None, xi, yi, batch_fn(i), cfg, synth=synth)
-            assert nn.params_equal(models[i], oracle[0]), i
+            assert params_equal(models[i], oracle[0]), i
             assert stats[i] == oracle[1], i
 
     def test_equal_batches_step_as_one_group(self, monkeypatch):
@@ -506,7 +506,7 @@ class TestLockstep:
         model = make_random_model(154, [4, 6, 3], 1)
         clients = [trainer.Client(r, batch_fn(i)) for i, r in enumerate(rows)]
         models, stats = trainer.local_update(model, model, x, y, clients, cfg)
-        assert all(nn.params_equal(m, model) for m in models)
+        assert all(params_equal(m, model) for m in models)
         assert all(s == trainer.LocalStats() for s in stats)
 
     def test_labels_must_match_features(self):
