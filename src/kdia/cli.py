@@ -8,12 +8,11 @@ key=value file and explicit flags win over it.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import sys
 
-from . import gradcheck, harness, nn, orchestrator, trainer
+from . import files, gradcheck, harness, nn, orchestrator, trainer
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigError, ProtocolError
 
@@ -45,10 +44,11 @@ def _cmd_run(args) -> int:
     ckpt_dirs = {}
     if args.checkpoint_interval > 0:
         ckpt_dirs = {s: os.path.join(args.out_dir, f"checkpoints-seed{s}") for s in cfg.seeds}
-    # every output directory exists before the first run
-    for path in (args.out_dir, *ckpt_dirs.values()):
-        harness.make_out_dir(path)
-    for seed in cfg.seeds:
+    # every output directory and metrics path is checked before the first run
+    csvs = files.make_out_dir(args.out_dir, *(f"run-seed{s}.csv" for s in cfg.seeds))
+    for path in ckpt_dirs.values():
+        files.make_out_dir(path)
+    for seed, csv in zip(cfg.seeds, csvs):
         hook = None
         if ckpt_dirs:
 
@@ -65,12 +65,11 @@ def _cmd_run(args) -> int:
                             nn.save_checkpoint(model, path)
 
         result = orchestrator.run_experiment(cfg, seed, round_hook=hook)
-        path = os.path.join(args.out_dir, f"run-seed{seed}.csv")
-        harness.write_metrics(result.metrics, path)
+        harness.write_metrics(result.metrics, csv)
         print(
             f"seed {seed}: best student {result.best_student_acc:.4f}, "
             f"best teacher {result.best_teacher_acc:.4f}, "
-            f"final model: {result.final_model_kind} -> {path}"
+            f"final model: {result.final_model_kind} -> {csv}"
         )
     return 0
 
@@ -97,30 +96,27 @@ def _cmd_similarity(args) -> int:
             f"{args.gen_checkpoint}: maps {gen.input_width} -> {gen.layers[-1][0].shape[1]}, "
             f"not noise_dim + n_classes = {expected[0]} -> feature_dim = {expected[1]}"
         )
-    # opened before any training, so a path that cannot be written fails at once
-    try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else None
-    except OSError as exc:
-        raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
-    with out or contextlib.nullcontext():
-        seed = cfg.seeds[0]
-        state = orchestrator.build_state(cfg, seed)
-        # reference is trained centrally on the pooled training split
-        reference = harness.train_centralized_reference(
-            state.train_ds, cfg, seed=seed, epochs=args.reference_epochs
-        )
-        ref_acc = trainer.evaluate(reference, state.test_ds.features, state.test_ds.labels)
-        if gen is None:
-            gen = orchestrator.run_experiment(cfg, seed).state.gen
-        sims = harness.feature_similarity(gen, reference, state.train_ds, seed=seed)
-        print(f"centralized reference accuracy: {ref_acc:.4f}")
-        for c, s in enumerate(sims):
-            print(f"class {c}: mean cosine similarity {s:.4f}")
-        if out:
-            out.write("class,mean_cosine\n")
-            for c, s in enumerate(sims):
-                out.write(f"{c},{s:.6f}\n")
-            print(f"wrote {args.out}")
+    # the CSV is written whole after training, so its path is checked first
+    parent = os.path.dirname(args.out or "") or "."
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(parent)):
+        raise ConfigError(f"--out {args.out}: not a file in an existing directory")
+    seed = cfg.seeds[0]
+    state = orchestrator.build_state(cfg, seed)
+    # reference is trained centrally on the pooled training split
+    reference = harness.train_centralized_reference(
+        state.train_ds, cfg, seed=seed, epochs=args.reference_epochs
+    )
+    ref_acc = trainer.evaluate(reference, state.test_ds.features, state.test_ds.labels)
+    if gen is None:
+        gen = orchestrator.run_experiment(cfg, seed).state.gen
+    sims = harness.feature_similarity(gen, reference, state.train_ds, seed=seed)
+    print(f"centralized reference accuracy: {ref_acc:.4f}")
+    for c, s in enumerate(sims):
+        print(f"class {c}: mean cosine similarity {s:.4f}")
+    if args.out:
+        lines = ["class,mean_cosine", *(f"{c},{s:.6f}" for c, s in enumerate(sims))]
+        files.write(args.out, ("\n".join(lines) + "\n").encode("utf-8"), ConfigError)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -132,16 +128,15 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_fedavg_ref(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    harness.make_out_dir(args.out_dir)
-    for seed in cfg.seeds:
+    csvs = files.make_out_dir(args.out_dir, *(f"fedavg-seed{s}.csv" for s in cfg.seeds))
+    for seed, csv in zip(cfg.seeds, csvs):
         run = orchestrator.fedavg_reference(cfg, seed)
         records = [
             orchestrator.RoundMetrics(t, acc, *[0.0] * 7, sel)
             for t, (acc, sel) in enumerate(zip(run.accuracies, run.selected_sets))
         ]
-        path = os.path.join(args.out_dir, f"fedavg-seed{seed}.csv")
-        harness.write_metrics(records, path)
-        print(f"seed {seed}: best accuracy {max(run.accuracies):.4f} -> {path}")
+        harness.write_metrics(records, csv)
+        print(f"seed {seed}: best accuracy {max(run.accuracies):.4f} -> {csv}")
     return 0
 
 

@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from . import files
 from .errors import ConfigError
 from .freqs import WEIGHT_MODES
 
@@ -203,13 +204,7 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     values: dict = {}
     set_on: dict = {}  # key -> the file line that set it
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise ConfigError(f"{path}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text") from exc
+        lines = files.read(path, ConfigError, text=True).splitlines()
         for lineno, line in enumerate(lines, 1):
             # everything after '#' is a comment
             stripped = line.partition("#")[0].strip()

@@ -7,11 +7,10 @@ CSV is the output contract; plotting is out of scope.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import numpy as np
 
-from . import data, generator, nn, orchestrator, trainer
+from . import data, files, generator, nn, orchestrator, trainer
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigError
 
@@ -36,47 +35,30 @@ SWEEP_AXES = {
 
 
 def write_metrics(records, path) -> None:
-    """One row per round; floats at 6 decimals, selected ids joined by ';'."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(METRICS_HEADER + "\n")
-            for r in records:
-                cells = (_CELL[f.type][0](getattr(r, f.name)) for f in _COLUMNS)
-                fh.write(",".join(cells) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write metrics to {path}: {exc}") from exc
+    """One row per round; floats at 6 decimals, selected ids joined by ';'.
+    The file is replaced whole, or a ``ConfigError`` names ``path``."""
+    lines = [METRICS_HEADER]
+    for r in records:
+        lines.append(",".join(_CELL[f.type][0](getattr(r, f.name)) for f in _COLUMNS))
+    files.write(path, ("\n".join(lines) + "\n").encode("utf-8"), ConfigError)
 
 
 def read_metrics(path):
-    """Parse a metrics file back into RoundMetrics (6-decimal floats)."""
+    """Parse a metrics file back into RoundMetrics (6-decimal floats); any
+    bad file is a ``ConfigError`` naming it."""
+    text = files.read(path, ConfigError, text=True)
+    header, *rows = text.removesuffix("\n").split("\n")
+    if header != METRICS_HEADER:
+        raise ConfigError(f"{path}: unexpected metrics header")
     records = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != METRICS_HEADER:
-                raise ConfigError(f"{path}: unexpected metrics header")
-            for lineno, line in enumerate(fh, 2):
-                row = zip(_COLUMNS, line.rstrip("\n").split(","), strict=True)
-                try:
-                    values = [_CELL[f.type][1](cell) for f, cell in row]
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: malformed metrics row") from exc
-                records.append(orchestrator.RoundMetrics(*values))
-    except OSError as exc:
-        raise OSError(f"cannot read metrics from {path}: {exc}") from exc
+    for lineno, line in enumerate(rows, 2):
+        row = zip(_COLUMNS, line.split(","), strict=True)
+        try:
+            values = [_CELL[f.type][1](cell) for f, cell in row]
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed metrics row") from exc
+        records.append(orchestrator.RoundMetrics(*values))
     return records
-
-
-def make_out_dir(path) -> None:
-    """Create the output directory ``path`` (``--out-dir`` or a directory
-    under it) unless it exists. Any ``OSError`` (an existing regular file,
-    a missing or read-only parent) is a ``ConfigError`` naming ``path``."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"--out-dir {path}: not a directory") from exc
-    except OSError as exc:
-        raise ConfigError(f"--out-dir {path}: {exc.strerror}") from exc
 
 
 def sweep(path, overrides: dict, axis: str, values, out_dir) -> dict:
@@ -89,7 +71,7 @@ def sweep(path, overrides: dict, axis: str, values, out_dir) -> dict:
     ``<axis>=<value>.seed<S>.csv`` for any additional seeds. Returns
     {value: {seed: metrics path}}. Every point is resolved before
     ``out_dir`` is created: a bad value, an empty list, or two values that
-    give the same setting raise ``ConfigError``.
+    give the same setting raise ``ConfigError``, as a directory at a metrics path does.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
@@ -103,16 +85,16 @@ def sweep(path, overrides: dict, axis: str, values, out_dir) -> dict:
         cfgs[value] = cfg
     if not cfgs:
         raise ConfigError(f"sweep over {axis} has no values")
-    make_out_dir(out_dir)
-    written: dict = {}
+    names = {}  # (value, seed) -> metrics file name
     for value, cfg in cfgs.items():
-        written[value] = {}
         for i, seed in enumerate(cfg.seeds):
-            result = orchestrator.run_experiment(cfg, seed)
-            name = f"{axis}={value}.csv" if i == 0 else f"{axis}={value}.seed{seed}.csv"
-            csv = os.path.join(out_dir, name)
-            write_metrics(result.metrics, csv)
-            written[value][seed] = csv
+            names[value, seed] = f"{axis}={value}" + (f".seed{seed}" if i else "") + ".csv"
+    csvs = files.make_out_dir(out_dir, *names.values())
+    written: dict = {}
+    for (value, seed), csv in zip(names, csvs):
+        result = orchestrator.run_experiment(cfgs[value], seed)
+        write_metrics(result.metrics, csv)
+        written.setdefault(value, {})[seed] = csv
     return written
 
 

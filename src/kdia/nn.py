@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .errors import ParameterError, ProtocolError, ShapeError
 
 CHECKPOINT_MAGIC = b"KDIA1"
@@ -423,24 +424,21 @@ def optimizer_step(
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write the versioned binary checkpoint: magic, per-layer
-    (rows, cols, weights, bias), then split_index, all little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        for w, b in params.layers:
-            fh.write(struct.pack("<QQ", w.shape[0], w.shape[1]))
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        fh.write(struct.pack("<Q", params.split_index))
+    (rows, cols, weights, bias), then split_index, all little-endian. The
+    file is replaced whole, or a ``ProtocolError`` names ``path``."""
+    parts = [CHECKPOINT_MAGIC]
+    for w, b in params.layers:
+        parts.append(struct.pack("<QQ", w.shape[0], w.shape[1]))
+        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    parts.append(struct.pack("<Q", params.split_index))
+    files.write(path, b"".join(parts), ProtocolError)
 
 
 def load_checkpoint(path) -> ModelParams:
     """Read a ``save_checkpoint`` file. A blob that is not exactly one raises
     ``ProtocolError`` naming ``path``, and so does a file that cannot be read."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise ProtocolError(f"{path}: {exc.strerror}") from exc
+    blob = files.read(path, ProtocolError)
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise ProtocolError(f"{path}: bad checkpoint magic")
     pos = len(CHECKPOINT_MAGIC)

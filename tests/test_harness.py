@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import errno
 import os
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_model
 from kdia import data, generator, harness, nn, orchestrator
@@ -170,6 +173,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config(path, overrides)
 
+    @given(st.binary(max_size=200))
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_bytes_after_a_valid_line_parse_or_raise_config_error(self, tmp_path, tail):
+        path = tmp_path / "fuzzed.cfg"
+        path.write_bytes(b"rounds = 5\n" + tail)
+        with contextlib.suppress(ConfigError):
+            parse_config(path)
+
 
 class TestMetricsCsv:
     def make_records(self):
@@ -217,8 +232,29 @@ class TestMetricsCsv:
         assert ids == records[0].selected
 
     def test_write_error_names_path(self):
-        with pytest.raises(OSError, match="no/such/dir"):
+        with pytest.raises(ConfigError, match="no/such/dir"):
             harness.write_metrics([], "no/such/dir/m.csv")
+
+    def test_crlf_file_parses(self, tmp_path):
+        path = tmp_path / "m.csv"
+        harness.write_metrics(self.make_records(), path)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert harness.read_metrics(crlf) == harness.read_metrics(path)
+
+    @given(st.binary(max_size=200))
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_bytes_after_header_parse_or_raise_config_error(self, tmp_path, tail):
+        path = tmp_path / "fuzzed.csv"
+        path.write_bytes(harness.METRICS_HEADER.encode() + b"\n" + tail)
+        try:
+            harness.read_metrics(path)
+        except ConfigError as exc:
+            assert str(path) in str(exc)
 
     @pytest.mark.parametrize(
         "row", ["0,0.5,0.5,0,0,0,0,0,0", "0,0.5,0.5,0,0,0,0,0,0,1,2", "0,x,0.5,0,0,0,0,0,0,1"]
@@ -228,6 +264,12 @@ class TestMetricsCsv:
         path.write_text(f"{harness.METRICS_HEADER}\n0,0.5,0.5,0,0,0,0,0,0,1;2\n{row}\n")
         with pytest.raises(ConfigError, match=r"m\.csv:3: malformed"):
             harness.read_metrics(path)
+
+
+def tiny_argv(**kw) -> list:
+    """The keys of ``tiny_overrides`` as CLI flags, seed 0 unless given."""
+    keys = tiny_overrides(**{"seeds": "0", **kw})
+    return [arg for k, v in keys.items() for arg in ("--" + k.replace("_", "-"), str(v))]
 
 
 def record_beta_and_gen_weight(monkeypatch) -> list:
@@ -538,6 +580,14 @@ class TestCli:
             (["similarity", "--out", "{tmp}"], "--out {tmp}"),
             (["run", "--out-dir", "{tmp}/denied"], "--out-dir {tmp}/denied: Permission denied"),
             (["fedavg-ref", "--out-dir", "{tmp}/denied"], "--out-dir {tmp}/denied"),
+            # a metrics path that is a directory, before any run
+            (["run", "--out-dir", "{tmp}/d", "--rounds", "2", "--n-clients", "4",
+              "--samples-per-class", "20", "--seeds", "0"],
+             "--out-dir {tmp}/d: run-seed0.csv is a directory"),
+            (["fedavg-ref", "--out-dir", "{tmp}/d", "--seeds", "0"],
+             "--out-dir {tmp}/d: fedavg-seed0.csv is a directory"),
+            (["sweep", "--axis", "C", "--values", "0.5", "--seeds", "0", "--out-dir", "{tmp}/d"],
+             "--out-dir {tmp}/d: C=0.5.csv is a directory"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, argv, named):
@@ -545,6 +595,8 @@ class TestCli:
         (tmp_path / "afile").write_text("a file, not a directory\n")
         (tmp_path / "ck").mkdir()
         (tmp_path / "ck" / "checkpoints-seed1").write_text("a file\n")
+        for name in ("run-seed0.csv", "fedavg-seed0.csv", "C=0.5.csv"):
+            (tmp_path / "d" / name).mkdir(parents=True)
         # a directory that cannot be created, which a root user cannot make happen
         makedirs = os.makedirs
 
@@ -556,6 +608,7 @@ class TestCli:
         monkeypatch.setattr(os, "makedirs", denied)
         # no run may start before every output path is checked
         monkeypatch.setattr(orchestrator, "run_experiment", None)
+        monkeypatch.setattr(orchestrator, "fedavg_reference", None)
         monkeypatch.setattr(harness, "train_centralized_reference", None)
         (tmp_path / "twice.cfg").write_text("rounds = 1\nrounds = 2\n")
         # a generator from a feature_dim=16 run, and a student, under the default config
@@ -568,6 +621,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and named.format(tmp=tmp_path) in err
+
+    def test_checkpoint_path_that_is_a_directory_exits_2_leaving_no_temp_file(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "checkpoints-seed0" / "student-0000.ckpt").mkdir(parents=True)
+        rc = cli_main(["run", "--out-dir", str(tmp_path), "--checkpoint-interval", "1",
+                       *tiny_argv(rounds=1)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "student-0000.ckpt" in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_interrupted_similarity_keeps_the_previous_out_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "sims.csv"
+        out.write_text("class,mean_cosine\n0,0.5\n")
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "train_centralized_reference", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["similarity", "--out", str(out), *tiny_argv(rounds=1)])
+        assert out.read_bytes() == b"class,mean_cosine\n0,0.5\n"
 
     @pytest.mark.parametrize(
         "argv,env_seed",

@@ -206,6 +206,51 @@ def test_only_config_resolves_gen_weight():
     assert not offenders, offenders
 
 
+# the calls that open, create or replace a path; only files.py makes them
+FILE_CALLS = ("open", "io.open", "os.open", "os.makedirs", "os.mkdir", "os.replace", "os.rename")
+
+
+def file_calls(source: str) -> list[str]:
+    """Calls in ``source`` to one of ``FILE_CALLS``, bare or through ``os``/``io``,
+    and imports of their names from ``os`` or ``io``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in FILE_CALLS:
+            found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "io"):
+            for alias in node.names:
+                if f"{node.module}.{alias.name}" in FILE_CALLS:
+                    found.append(f"line {node.lineno}: imports {node.module}.{alias.name}")
+    return found
+
+
+def test_file_call_guard_catches_every_form():
+    for source in (
+        "with open(p) as fh:\n    pass\n",
+        "import os\nos.makedirs(d, exist_ok=True)\n",
+        "import os\nos.replace(a, b)\n",
+        "import io\nfh = io.open(p)\n",
+        "from os import replace\n",
+    ):
+        assert file_calls(source), source
+    for source in (
+        "blob = files.read(p, ConfigError)\n",
+        'flag = name.replace("_", "-")\n',
+        "cfg = dataclasses.replace(cfg, rounds=1)\n",
+        "ok = os.path.isdir(p)\n",
+    ):
+        assert not file_calls(source), source
+
+
+def test_only_files_opens_creates_or_replaces_paths():
+    offenders = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "files.py" and (calls := file_calls(path.read_text(encoding="utf-8")))
+    }
+    assert not offenders, offenders
+
+
 # public code with no caller in src/ or perfbench/ yet; ``kdia report``
 # (ROADMAP item 4) is to read metrics files back through it
 TEST_ONLY_EXCEPTIONS = ["harness.read_metrics"]
