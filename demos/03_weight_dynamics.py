@@ -49,5 +49,5 @@ idle = freqs.ClientLedger([100] * 5)
 idle.record_round([0, 1, 2, 3, 4], 0)
 for t in range(1, 31):
     idle.record_round([t % 4], t)  # client 4 never selected again
-f = idle.interval_freqs(30)
+f = freqs.round_weights(idle, [30 % 4], 30).interval
 print(f"\nafter 30 idle rounds client 4 keeps interval frequency {f[4]:.3e} > 0")

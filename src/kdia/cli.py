@@ -37,32 +37,34 @@ def _overrides(args) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    if args.checkpoint_interval < 0:
-        raise ConfigError(
-            f"--checkpoint-interval must be >= 0, got {args.checkpoint_interval}"
-        )
-    ckpt_dirs = {}
-    if args.checkpoint_interval > 0:
-        ckpt_dirs = {s: os.path.join(args.out_dir, f"checkpoints-seed{s}") for s in cfg.seeds}
-    # every output directory and metrics path is checked before the first run
+    every = args.checkpoint_interval
+    if every < 0:
+        raise ConfigError(f"--checkpoint-interval must be >= 0, got {every}")
+    # every output directory, metrics path and checkpoint path is checked
+    # before the first run
     csvs = files.make_out_dir(args.out_dir, *(f"run-seed{s}.csv" for s in cfg.seeds))
-    for path in ckpt_dirs.values():
-        files.make_out_dir(path)
+    ckpts = {}
+    if every > 0:
+        kept = ["student"] + ["teacher"] * (not cfg.disable_kd)
+        kept += ["generator"] * (not cfg.disable_gen)
+        due = [(t, m) for t in range(every - 1, cfg.rounds, every) for m in kept]
+        names = [f"{m}-{t:04d}.ckpt" for t, m in due]
+        for s in cfg.seeds:
+            path = os.path.join(args.out_dir, f"checkpoints-seed{s}")
+            ckpts[s] = dict(zip(due, files.make_out_dir(path, *names)))
     for seed, csv in zip(cfg.seeds, csvs):
         hook = None
-        if ckpt_dirs:
+        if ckpts:
 
-            def hook(t, state, rec, _dir=ckpt_dirs[seed]):
-                if (t + 1) % args.checkpoint_interval == 0:
-                    models = (
-                        ("student", state.student),
-                        ("teacher", state.teacher),
-                        ("generator", state.gen),
-                    )
-                    for name, model in models:
-                        if model is not None:
-                            path = os.path.join(_dir, f"{name}-{t:04d}.ckpt")
-                            nn.save_checkpoint(model, path)
+            def hook(t, state, rec, _paths=ckpts[seed]):
+                models = (
+                    ("student", state.student),
+                    ("teacher", state.teacher),
+                    ("generator", state.gen),
+                )
+                for name, model in models:
+                    if (t, name) in _paths:
+                        nn.save_checkpoint(model, _paths[t, name])
 
         result = orchestrator.run_experiment(cfg, seed, round_hook=hook)
         harness.write_metrics(result.metrics, csv)

@@ -52,8 +52,8 @@ def init_generator(
 
 def gen_forward(
     gen: nn.ModelParams, noise: np.ndarray, labels: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Generated feature batch for (noise, label) rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generated features for (noise, label) rows, and the labels' one-hot rows.
 
     The output passes through a final ReLU: real extractor features are
     post-activation, so generated features live in the same nonnegative space.
@@ -66,8 +66,8 @@ def gen_forward(
             f"noise width {noise.shape[-1]} != expected "
             f"{gen.input_width - n_classes}"
         )
-    stacked = np.hstack([noise, nn.target_rows(labels, noise.shape[0], n_classes)])
-    return np.maximum(nn.forward(gen, stacked), 0.0)
+    rows = nn.target_rows(labels, noise.shape[0], n_classes)
+    return np.maximum(nn.forward(gen, np.hstack([noise, rows])), 0.0), rows
 
 
 def diversity_loss(
@@ -203,11 +203,10 @@ class LocalSynthesizer:
         self.pool = sample_label_pool(pool_len, n_classes, self.rng)
 
     def draw(self) -> tuple[np.ndarray, np.ndarray]:
-        """A synthetic batch: the generated features and the checked one-hot
-        rows of their labels, as ``gen_forward`` builds them."""
+        """A synthetic batch from ``gen_forward``: the generated features and
+        the checked one-hot rows of their labels."""
         take = min(self.batch_size, len(self.pool))
         idx = self.rng.permutation(len(self.pool))[:take]
-        rows = nn.target_rows(self.pool[idx], take, self.n_classes)
         noise = self.rng.normal(size=(take, self.noise_dim))
-        return np.maximum(nn.forward(self.gen, np.hstack([noise, rows])), 0.0), rows
+        return gen_forward(self.gen, noise, self.pool[idx], self.n_classes)
 

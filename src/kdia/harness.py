@@ -149,7 +149,7 @@ def feature_similarity(
             continue
         real = nn.extract_features(reference, ds.features[ix])
         noise = rng.normal(size=(ix.size, noise_dim))
-        generated = generator.gen_forward(
+        generated, _ = generator.gen_forward(
             gen, noise, np.full(ix.size, c, dtype=np.int64), ds.n_classes
         )
         out[c] = mean_cosine(real, generated)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdia import freqs
-from kdia.errors import ConfigError, ParameterError, ProtocolError
+from kdia.errors import ConfigError, ParameterError
 
 
 def simulate_history(seed, n_clients, k_per_round, n_rounds, sizes=None):
@@ -59,7 +60,7 @@ class TestIntervalFreqs:
         expect_unsel = e1 / total
         ledger = freqs.ClientLedger([10] * 4)
         ledger.record_round([0, 1], 0)
-        f = ledger.interval_freqs(0)
+        f = freqs.round_weights(ledger, [0, 1], 0).interval
         np.testing.assert_allclose(f, [expect_sel, expect_sel, expect_unsel, expect_unsel], rtol=1e-15)
         assert f[0] == pytest.approx(0.36552928931500245, abs=1e-12)
         assert f[2] == pytest.approx(0.13447071068499755, abs=1e-12)
@@ -68,38 +69,43 @@ class TestIntervalFreqs:
     def test_all_selected_uniform(self):
         ledger = freqs.ClientLedger([7] * 5)
         ledger.record_round(range(5), 3)
-        np.testing.assert_allclose(ledger.interval_freqs(3), 0.2, rtol=1e-15)
+        f = freqs.round_weights(ledger, range(5), 3).interval
+        np.testing.assert_allclose(f, 0.2, rtol=1e-15)
 
     def test_long_absence_tiny_but_positive(self):
         ledger = freqs.ClientLedger([10] * 10)
         ledger.record_round(range(10), 0)
         for t in range(1, 51):
             ledger.record_round(range(9), t)  # client 9 never again
-        f = ledger.interval_freqs(50)
+        f = freqs.round_weights(ledger, range(9), 50).interval
         assert 0.0 < f[9] < 1e-20
 
     def test_negative_round_rejected(self):
         ledger = freqs.ClientLedger([5, 5])
-        with pytest.raises(ParameterError):
-            ledger.interval_freqs(-1)
+        ledger.record_round([0], 0)
+        with pytest.raises(ParameterError, match="round must be >= 0"):
+            freqs.round_weights(ledger, [0], -1)
 
 
 class TestParticipationFreqs:
     def test_half_half(self):
         ledger = freqs.ClientLedger([10] * 4)
         ledger.record_round([0, 1], 0)
-        np.testing.assert_allclose(ledger.participation_freqs(), [0.5, 0.5, 0, 0])
+        w = freqs.round_weights(ledger, [0, 1], 0)
+        np.testing.assert_allclose(w.participation, [0.5, 0.5, 0, 0])
 
     def test_equal_counts_uniform(self):
         ledger = freqs.ClientLedger([10] * 4)
         for t in range(4):
             ledger.record_round(range(4), t)
-        np.testing.assert_allclose(ledger.participation_freqs(), 0.25)
+        np.testing.assert_allclose(freqs.round_weights(ledger, range(4), 3).participation, 0.25)
 
     def test_before_any_round_rejected(self):
+        # also in the modes whose teacher does not read participation
         ledger = freqs.ClientLedger([10] * 4)
-        with pytest.raises(ParameterError):
-            ledger.participation_freqs()
+        for mode in freqs.WEIGHT_MODES:
+            with pytest.raises(ParameterError, match="before the first round"):
+                freqs.round_weights(ledger, [0], 0, mode)
 
     def test_variance_decays_under_uniform_sampling(self):
         # matched pair of snapshots from one simulated sampling history
@@ -107,26 +113,30 @@ class TestParticipationFreqs:
         ledger = freqs.ClientLedger(np.full(100, 50))
         var_at = {}
         for t in range(200):
-            ledger.record_round(rng.choice(100, size=10, replace=False), t)
+            selected = rng.choice(100, size=10, replace=False)
+            ledger.record_round(selected, t)
             if t + 1 in (10, 200):
-                var_at[t + 1] = ledger.participation_freqs().var()
+                var_at[t + 1] = freqs.round_weights(ledger, selected, t).participation.var()
         assert var_at[200] < var_at[10]
 
 
 class TestVolumeFreqs:
     def test_equal_sizes(self):
         ledger = freqs.ClientLedger([100] * 4)
-        np.testing.assert_allclose(ledger.volume_freqs(), 0.25)
+        ledger.record_round([1], 0)
+        np.testing.assert_allclose(freqs.round_weights(ledger, [1], 0).volume, 0.25)
 
     def test_proportional(self):
         ledger = freqs.ClientLedger([10, 20, 30, 40])
-        np.testing.assert_allclose(ledger.volume_freqs(), [0.1, 0.2, 0.3, 0.4])
+        ledger.record_round([1], 0)
+        w = freqs.round_weights(ledger, [1], 0)
+        np.testing.assert_allclose(w.volume, [0.1, 0.2, 0.3, 0.4])
 
     def test_constant_across_rounds(self):
-        ledger, _, _ = simulate_history(5, 8, 3, 150)
-        before = ledger.volume_freqs()
+        ledger, selected, t = simulate_history(5, 8, 3, 150)
+        before = freqs.round_weights(ledger, selected, t).volume
         ledger.record_round([0], 150)
-        assert np.array_equal(ledger.volume_freqs(), before)
+        assert np.array_equal(freqs.round_weights(ledger, [0], 150).volume, before)
 
 
 class TestCombine:
@@ -137,87 +147,133 @@ class TestCombine:
 
     def test_tri_gm_round_zero_splits_between_participants(self):
         ledger = self.setup_round_zero()
-        teacher = freqs.combine_freqs(
-            ledger.interval_freqs(0),
-            ledger.participation_freqs(),
-            ledger.volume_freqs(),
-            "tri-gm",
-        )
+        teacher = freqs.round_weights(ledger, [0, 1], 0, "tri-gm").teacher
         np.testing.assert_allclose(teacher, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
         # unequal volumes: the participants split by the cube root of the
         # frequency product (an arithmetic mean or a plain product would not)
         ledger = freqs.ClientLedger([10, 30, 10, 10])
         ledger.record_round([0, 1], 0)
-        f_intv = ledger.interval_freqs(0)
-        teacher = freqs.combine_freqs(
-            f_intv, ledger.participation_freqs(), ledger.volume_freqs(), "tri-gm"
-        )
-        tri = [(f_intv[0] * 0.5 * n) ** (1.0 / 3.0) for n in (1 / 6, 3 / 6)]
+        w = freqs.round_weights(ledger, [0, 1], 0, "tri-gm")
+        tri = [(w.interval[0] * 0.5 * n) ** (1.0 / 3.0) for n in (1 / 6, 3 / 6)]
         np.testing.assert_allclose(
-            teacher, [tri[0] / sum(tri), tri[1] / sum(tri), 0.0, 0.0], rtol=1e-14
+            w.teacher, [tri[0] / sum(tri), tri[1] / sum(tri), 0.0, 0.0], rtol=1e-14
         )
 
     def test_uniform_inputs_uniform_output_all_modes(self):
+        # everyone every round with equal data: all three frequencies uniform
+        ledger = freqs.ClientLedger([10] * 6)
+        for t in range(3):
+            ledger.record_round(range(6), t)
         u = np.full(6, 1.0 / 6.0)
         for mode in freqs.WEIGHT_MODES:
-            teacher = freqs.combine_freqs(u, u, u, mode)
+            teacher = freqs.round_weights(ledger, range(6), 2, mode).teacher
             np.testing.assert_allclose(teacher, u, rtol=1e-14)
 
     def test_num_mode_pass_through(self):
-        f_num = np.array([0.1, 0.2, 0.3, 0.4])
-        other = np.array([0.25, 0.25, 0.25, 0.25])
-        teacher = freqs.combine_freqs(other, other, f_num, "num")
-        np.testing.assert_allclose(teacher, f_num, rtol=1e-15)
+        # interval and participation frequencies differ across clients here
+        ledger = freqs.ClientLedger([10, 20, 30, 40])
+        ledger.record_round(range(4), 0)
+        ledger.record_round([0], 1)
+        teacher = freqs.round_weights(ledger, [0], 1, "num").teacher
+        np.testing.assert_allclose(teacher, [0.1, 0.2, 0.3, 0.4], rtol=1e-15)
 
     def test_part_floor_lifts_zeros(self):
         ledger = self.setup_round_zero()
-        teacher = freqs.combine_freqs(
-            ledger.interval_freqs(0),
-            ledger.participation_freqs(),
-            ledger.volume_freqs(),
-            "tri-gm",
-            part_floor=1e-3,
-        )
+        teacher = freqs.round_weights(ledger, [0, 1], 0, "tri-gm", part_floor=1e-3).teacher
         assert teacher[2] > 0.0
 
     @pytest.mark.parametrize("mode", freqs.WEIGHT_MODES)
     def test_list_inputs_match_arrays(self, mode):
-        f = ([0.1, 0.2, 0.7], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4])
-        expect = freqs.combine_freqs(*map(np.array, f), mode, part_floor=1e-3)
-        assert np.array_equal(freqs.combine_freqs(*f, mode, part_floor=1e-3), expect)
-
-    @pytest.mark.parametrize("bad", [np.nan, -0.1])
-    @pytest.mark.parametrize("slot,name", [(0, "intv"), (1, "part"), (2, "num")])
-    def test_nan_or_negative_entry_names_vector(self, bad, slot, name):
-        vectors = [np.full(3, 1 / 3) for _ in range(3)]
-        vectors[slot][1] = bad
-        with pytest.raises(ConfigError, match=f"in {name} frequencies"):
-            freqs.combine_freqs(*vectors, "tri-gm")
+        # sample counts and selected ids as lists, unsorted, or arrays
+        a, b = freqs.ClientLedger([3, 5, 7]), freqs.ClientLedger(np.array([3, 5, 7]))
+        for ledger in (a, b):
+            ledger.record_round(np.array([1]), 0)
+            ledger.record_round([2, 0], 1)
+        wa = freqs.round_weights(a, [2, 0], 1, mode, part_floor=1e-3)
+        wb = freqs.round_weights(b, np.array([0, 2]), 1, mode, part_floor=1e-3)
+        for field in dataclasses.fields(freqs.FreqWeights):
+            assert np.array_equal(getattr(wa, field.name), getattr(wb, field.name))
 
     def test_unknown_mode_rejected(self):
-        u = np.full(3, 1 / 3)
-        with pytest.raises(ConfigError):
-            freqs.combine_freqs(u, u, u, "harmonic")
+        ledger = self.setup_round_zero()
+        with pytest.raises(ConfigError, match="harmonic"):
+            freqs.round_weights(ledger, [0, 1], 0, "harmonic")
 
-    def test_all_zero_tri_rejected(self):
-        z = np.zeros(3)
-        with pytest.raises(ProtocolError):
-            freqs.combine_freqs(z, z, z, "tri-gm")
+    def test_part_mode_honours_part_floor(self):
+        # the floor lifts clients 2 and 3 in `part` as in the tri modes:
+        # max(0.5, 0.1) twice and max(0, 0.1) twice, normalized
+        ledger = self.setup_round_zero()
+        w = freqs.round_weights(ledger, [0, 1], 0, "part", part_floor=0.1)
+        np.testing.assert_allclose(w.teacher, [5 / 12, 5 / 12, 1 / 12, 1 / 12], rtol=1e-15)
+        assert w.participation.tolist() == [0.5, 0.5, 0.0, 0.0]  # reported unfloored
 
 
 class TestStudentWeights:
     def test_proportional(self):
-        np.testing.assert_allclose(
-            freqs.student_weights([0, 1], [30, 70]), [0.3, 0.7]
-        )
+        ledger = freqs.ClientLedger([30, 70])
+        ledger.record_round([0, 1], 0)
+        np.testing.assert_allclose(freqs.round_weights(ledger, [0, 1], 0).student, [0.3, 0.7])
 
     def test_single_client(self):
-        np.testing.assert_allclose(freqs.student_weights([2], [10, 20, 30]), [1.0])
+        ledger = freqs.ClientLedger([10, 20, 30])
+        ledger.record_round([2], 0)
+        np.testing.assert_allclose(freqs.round_weights(ledger, [2], 0).student, [1.0])
 
     def test_equal_sizes_uniform(self):
-        np.testing.assert_allclose(
-            freqs.student_weights([1, 3, 4], [9, 9, 9, 9, 9]), 1.0 / 3.0
-        )
+        ledger = freqs.ClientLedger([9, 9, 9, 9, 9])
+        ledger.record_round([1, 3, 4], 0)
+        np.testing.assert_allclose(freqs.round_weights(ledger, [4, 1, 3], 0).student, 1.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "selected,named", [([-1], "outside"), ([1, 1], "duplicate"), ([4], "outside"), ([], "nonempty")]
+    )
+    def test_bad_selected_rejected(self, selected, named):
+        # the ledger and the weights check the selected ids alike
+        ledger = freqs.ClientLedger([10, 20, 30, 40])
+        ledger.record_round([0, 1], 0)
+        with pytest.raises(ConfigError, match=named):
+            freqs.round_weights(ledger, selected, 0)
+        with pytest.raises(ConfigError, match=named):
+            ledger.record_round(selected, 1)
+
+
+def scalar_oracle(ledger, selected, t, mode, part_floor):
+    """Every weight vector of ``round_weights``, one client at a time, from
+    the paper's formulas: exp(-(t - t_k)), c_k / sum c and n_k / sum n."""
+    last, counts, sizes = (v.tolist() for v in (ledger.last_round, ledger.part_counts, ledger.sample_counts))
+    intv = [math.exp(-(t - t_k)) for t_k in last]
+    intv = [v / sum(intv) for v in intv]
+    part = [c / sum(counts) for c in counts]
+    num = [n / sum(sizes) for n in sizes]
+    floored = [max(p, part_floor) for p in part]
+    if mode == "tri-gm":
+        tri = [(i * p * n) ** (1.0 / 3.0) for i, p, n in zip(intv, floored, num)]
+    elif mode == "tri-am":
+        tri = [(i + p + n) / 3.0 for i, p, n in zip(intv, floored, num)]
+    else:
+        tri = {"intv": intv, "part": floored, "num": num}[mode]
+    teacher = [v / sum(tri) for v in tri]
+    student = [sizes[k] / sum(sizes[j] for j in selected) for k in sorted(selected)]
+    return intv, part, num, teacher, student
+
+
+class TestRoundWeightsOracle:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 30),
+        st.integers(1, 40),
+        st.sampled_from(freqs.WEIGHT_MODES),
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_oracle(self, seed, n_clients, n_rounds, mode, part_floor):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, n_clients + 1))
+        ledger, selected, t = simulate_history(seed, n_clients, k, n_rounds)
+        w = freqs.round_weights(ledger, selected, t, mode, part_floor)
+        expect = scalar_oracle(ledger, [int(c) for c in selected], t, mode, part_floor)
+        for got, want in zip((w.interval, w.participation, w.volume, w.teacher, w.student), expect):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestRoundWeightsProperties:

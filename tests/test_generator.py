@@ -86,29 +86,31 @@ class TestGenForward:
             [(np.zeros((11, 16)), np.zeros(16)), (np.zeros((16, 6)), np.zeros(6))], 0
         )
         noise = np.random.default_rng(0).normal(size=(4, 8))
-        feats = generator.gen_forward(gen, noise, np.array([0, 1, 2, 0]), 3)
+        feats, _ = generator.gen_forward(gen, noise, np.array([0, 1, 2, 0]), 3)
         assert not feats.any()
 
     def test_identical_rows_identical_features(self):
         gen = make_generator(5)
         noise = np.tile(np.random.default_rng(1).normal(size=(1, 8)), (3, 1))
         labels = np.array([1, 1, 1])
-        feats = generator.gen_forward(gen, noise, labels, 3)
+        feats, _ = generator.gen_forward(gen, noise, labels, 3)
         assert np.array_equal(feats[0], feats[1])
         assert np.array_equal(feats[1], feats[2])
 
     def test_label_flip_changes_output(self):
         gen = make_generator(6)
         noise = np.random.default_rng(2).normal(size=(1, 8))
-        a = generator.gen_forward(gen, noise, np.array([0]), 3)
-        b = generator.gen_forward(gen, noise, np.array([2]), 3)
+        a, _ = generator.gen_forward(gen, noise, np.array([0]), 3)
+        b, _ = generator.gen_forward(gen, noise, np.array([2]), 3)
         assert not np.array_equal(a, b)
 
     def test_features_nonnegative(self):
         gen = make_generator(7)
         noise = np.random.default_rng(3).normal(size=(10, 8))
         labels = np.random.default_rng(4).integers(0, 3, size=10)
-        assert (generator.gen_forward(gen, noise, labels, 3) >= 0).all()
+        feats, rows = generator.gen_forward(gen, noise, labels, 3)
+        assert (feats >= 0).all()
+        assert np.array_equal(rows, np.eye(3)[labels])
 
     @pytest.mark.parametrize("label", [-1, 3, 1.7])
     def test_label_outside_the_classes_rejected(self, label):
@@ -362,7 +364,8 @@ class TestSynthesizeLocal:
             labels = pool[rng.permutation(15)[:8]]
             noise = rng.normal(size=(8, gen.input_width - 3))
             feats, rows = synth.draw()
-            assert feats.tobytes() == generator.gen_forward(gen, noise, labels, 3).tobytes()
+            want, _ = generator.gen_forward(gen, noise, labels, 3)
+            assert feats.tobytes() == want.tobytes()
             assert np.array_equal(rows, np.eye(3)[labels])
 
     def test_same_seed_identical_stream(self):

@@ -372,8 +372,9 @@ class TestVarianceTrack:
             ledger = freqs.ClientLedger(np.full(40, 25))
             series = []
             for t in range(120):
-                ledger.record_round(rng.choice(40, size=4, replace=False), t)
-                series.append(ledger.participation_freqs().var())
+                selected = rng.choice(40, size=4, replace=False)
+                ledger.record_round(selected, t)
+                series.append(freqs.round_weights(ledger, selected, t).participation.var())
             assert series[119] <= series[20]
 
 
@@ -588,6 +589,10 @@ class TestCli:
              "--out-dir {tmp}/d: fedavg-seed0.csv is a directory"),
             (["sweep", "--axis", "C", "--values", "0.5", "--seeds", "0", "--out-dir", "{tmp}/d"],
              "--out-dir {tmp}/d: C=0.5.csv is a directory"),
+            # a checkpoint path that is a directory, before any run
+            (["run", "--rounds", "3", "--n-clients", "4", "--samples-per-class", "20",
+              "--seeds", "0", "--checkpoint-interval", "1", "--out-dir", "{tmp}/ck2"],
+             "--out-dir {tmp}/ck2/checkpoints-seed0: student-0001.ckpt is a directory"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, argv, named):
@@ -595,6 +600,7 @@ class TestCli:
         (tmp_path / "afile").write_text("a file, not a directory\n")
         (tmp_path / "ck").mkdir()
         (tmp_path / "ck" / "checkpoints-seed1").write_text("a file\n")
+        (tmp_path / "ck2" / "checkpoints-seed0" / "student-0001.ckpt").mkdir(parents=True)
         for name in ("run-seed0.csv", "fedavg-seed0.csv", "C=0.5.csv"):
             (tmp_path / "d" / name).mkdir(parents=True)
         # a directory that cannot be created, which a root user cannot make happen
@@ -623,9 +629,17 @@ class TestCli:
         assert err.count("\n") == 1 and named.format(tmp=tmp_path) in err
 
     def test_checkpoint_path_that_is_a_directory_exits_2_leaving_no_temp_file(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
-        (tmp_path / "checkpoints-seed0" / "student-0000.ckpt").mkdir(parents=True)
+        # the path is checked before the run, so it turns into a directory
+        # only once the run has started
+        run_experiment = orchestrator.run_experiment
+
+        def run_then_block(cfg, seed, round_hook=None):
+            (tmp_path / "checkpoints-seed0" / "student-0000.ckpt").mkdir()
+            return run_experiment(cfg, seed, round_hook=round_hook)
+
+        monkeypatch.setattr(orchestrator, "run_experiment", run_then_block)
         rc = cli_main(["run", "--out-dir", str(tmp_path), "--checkpoint-interval", "1",
                        *tiny_argv(rounds=1)])
         err = capsys.readouterr().err
