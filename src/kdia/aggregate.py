@@ -31,6 +31,9 @@ class ModelRegistry:
         self.stored = np.tile(theta0.flat, (n_clients, 1))
 
     def update(self, client_id: int, new_params: ModelParams) -> None:
+        # a negative id would index from the end and overwrite another client
+        if not 0 <= client_id < len(self.stored):
+            raise ProtocolError(f"client id {client_id} outside [0, {len(self.stored)})")
         if new_params.layout != self.layout:
             raise ShapeError("replacement snapshot has a different architecture")
         self.stored[client_id] = new_params.flat

@@ -11,7 +11,8 @@ three per-client frequencies:
 The default combination is their normalized geometric mean, which sends the
 weight of never-participated clients to exactly zero. The student weights are
 plain data-volume shares over the currently selected set. ``ClientLedger``
-holds the state, and ``round_weights`` computes every vector of a round.
+holds the state, checks each round's ids in ``record_round`` and keeps the
+last round it recorded; ``round_weights`` computes every vector of that round.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ from .errors import ConfigError, ParameterError
 WEIGHT_MODES = ("intv", "part", "num", "tri-am", "tri-gm")
 
 
-def _selected_ids(selected, n_clients: int) -> np.ndarray:
-    """The ids, ascending; ``ConfigError`` unless nonempty, distinct and in range."""
-    sel = np.sort(np.asarray(selected, dtype=np.int64))
-    if sel.size == 0:
-        raise ConfigError("selected set must be nonempty")
-    # sorted, so a repeated id sits next to itself
-    if (sel[1:] == sel[:-1]).any():
-        raise ConfigError("duplicate client ids in selected set")
-    if sel[0] < 0 or sel[-1] >= n_clients:
-        raise ConfigError("client id outside [0, N)")
-    return sel
+def _int_vector(values, name: str) -> np.ndarray:
+    """``values`` as an int64 vector; ``ConfigError`` unless a nonempty vector
+    of an integer dtype (a cast would silently truncate floats and bools)."""
+    arr = np.asarray(values)
+    # checked first: an empty list converts to float64
+    if arr.ndim != 1 or arr.size == 0:
+        raise ConfigError(f"{name} must be a nonempty vector")
+    if arr.dtype.kind not in "iu":
+        raise ConfigError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
 
 
 class ClientLedger:
@@ -43,24 +43,34 @@ class ClientLedger:
 
     ``last_round[k]`` is the last round client k was selected (-1 for never),
     ``part_counts[k]`` how many rounds it has participated in, and
-    ``sample_counts[k]`` its fixed local dataset size.
+    ``sample_counts[k]`` its fixed local dataset size. ``round`` and
+    ``selected`` (ascending) are the last recorded round and its clients.
     """
 
     def __init__(self, sample_counts):
-        counts = np.asarray(sample_counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size < 1:
-            raise ConfigError("sample_counts must be a non-empty vector")
+        counts = _int_vector(sample_counts, "sample_counts")
         if counts.min() < 1:
             raise ConfigError("every client needs at least one sample")
         self.sample_counts = counts
-        self.n_clients = counts.size
-        self.last_round = np.full(self.n_clients, -1, dtype=np.int64)
-        self.part_counts = np.zeros(self.n_clients, dtype=np.int64)
+        self.last_round = np.full(counts.size, -1, dtype=np.int64)
+        self.part_counts = np.zeros(counts.size, dtype=np.int64)
+        self.round = -1
+        self.selected = np.zeros(0, dtype=np.int64)
 
     def record_round(self, selected, t: int) -> None:
-        sel = _selected_ids(selected, self.n_clients)
+        """Record round ``t``'s clients; ``ConfigError`` unless the ids are
+        distinct integers in ``[0, N)``, ``ParameterError`` if ``t < 0``."""
+        if t < 0:
+            raise ParameterError(f"round must be >= 0, got {t}")
+        sel = np.sort(_int_vector(selected, "selected set"))
+        # sorted, so a repeated id sits next to itself
+        if (sel[1:] == sel[:-1]).any():
+            raise ConfigError("duplicate client ids in selected set")
+        if sel[0] < 0 or sel[-1] >= self.sample_counts.size:
+            raise ConfigError("client id outside [0, N)")
         self.last_round[sel] = t
         self.part_counts[sel] += 1
+        self.round, self.selected = t, sel
 
 
 @dataclass
@@ -77,13 +87,9 @@ class FreqWeights:
 
 
 def round_weights(
-    ledger: ClientLedger,
-    selected,
-    t: int,
-    mode: str = "tri-gm",
-    part_floor: float = 0.0,
+    ledger: ClientLedger, mode: str = "tri-gm", part_floor: float = 0.0
 ) -> FreqWeights:
-    """All weight vectors for round ``t``; call after ``record_round``.
+    """All weight vectors of the ledger's last recorded round.
 
     ``part_floor`` lifts participation frequencies below it before ``mode``
     combines them (0 keeps the literal geometric mean, which zeroes
@@ -91,13 +97,10 @@ def round_weights(
     """
     if mode not in WEIGHT_MODES:
         raise ConfigError(f"unknown weighting mode {mode!r}; expected {WEIGHT_MODES}")
-    if t < 0:
-        raise ParameterError(f"round must be >= 0, got {t}")
-    sel = _selected_ids(selected, ledger.n_clients)
     total = ledger.part_counts.sum()
     if total == 0:
         raise ParameterError("participation frequencies undefined before the first round")
-    u = (ledger.last_round - t).astype(np.float64)  # -(t - t_k), all <= 0
+    u = (ledger.last_round - ledger.round).astype(np.float64)  # -(t - t_k), all <= 0
     e = np.exp(u - u.max())
     f_intv = e / e.sum()
     f_part = ledger.part_counts / total
@@ -110,5 +113,5 @@ def round_weights(
     else:
         tri = {"intv": f_intv, "part": f_floor, "num": f_num}[mode]
     teacher = tri / tri.sum()
-    sizes = ledger.sample_counts[sel].astype(np.float64)
+    sizes = ledger.sample_counts[ledger.selected].astype(np.float64)
     return FreqWeights(f_intv, f_part, f_num, teacher, sizes / sizes.sum())

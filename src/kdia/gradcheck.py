@@ -17,7 +17,7 @@ DEFAULT_STEP = 1e-5
 LIMITS = {"dense": 1e-4, "relu": 1e-4, "softmax-ce": 1e-5, "kd": 1e-5, "div": 1e-5}
 
 
-def fd_array_grad(loss_fn, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+def fd_array_grad(loss_fn, x: np.ndarray) -> np.ndarray:
     """Central differences of a scalar function over every entry of ``x``."""
     x = np.array(x, dtype=np.float64)
     grad = np.zeros_like(x)
@@ -25,16 +25,16 @@ def fd_array_grad(loss_fn, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + DEFAULT_STEP
         up = loss_fn(x)
-        flat[i] = orig - h
+        flat[i] = orig - DEFAULT_STEP
         down = loss_fn(x)
         flat[i] = orig
-        gflat[i] = (up - down) / (2.0 * h)
+        gflat[i] = (up - down) / (2.0 * DEFAULT_STEP)
     return grad
 
 
-def fd_model_grads(loss_fn, params: nn.ModelParams, h: float = DEFAULT_STEP):
+def fd_model_grads(loss_fn, params: nn.ModelParams):
     """Central differences over every weight and bias of a model.
 
     ``loss_fn`` maps a ModelParams to a float. Returns one vector in
@@ -42,15 +42,15 @@ def fd_model_grads(loss_fn, params: nn.ModelParams, h: float = DEFAULT_STEP):
     """
     layout = params.layout
     return fd_array_grad(
-        lambda flat: loss_fn(nn.ModelParams.from_flat(flat, layout)), params.flat, h
+        lambda flat: loss_fn(nn.ModelParams.from_flat(flat, layout)), params.flat
     )
 
 
-def max_relative_error(analytic, numeric, floor: float = 1e-3) -> float:
-    """Largest elementwise |a - n| / max(|a|, |n|, floor) over both arrays."""
+def max_relative_error(analytic, numeric) -> float:
+    """Largest elementwise |a - n| / max(|a|, |n|, 1e-3) over both arrays."""
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)
     return float((np.abs(a - n) / denom).max())
 
 

@@ -44,6 +44,7 @@ from . import files
 from .errors import ParameterError, ProtocolError, ShapeError
 
 CHECKPOINT_MAGIC = b"KDIA1"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -330,16 +331,14 @@ class OptimizerState:
     """Hyperparameters plus slot vectors for SGD-momentum or Adam.
 
     Each slot is shaped like the ``flat`` vector of the ModelParams it
-    updates: ``(velocity,)`` for SGD, ``(m, v)`` for Adam.
+    updates: ``(velocity,)`` for SGD, ``(m, v)`` for Adam. Adam's other
+    settings are the constants ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPSILON``.
     """
 
     kind: str
     learning_rate: float
     weight_decay: float
     momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     slots: tuple = ()
 
@@ -357,23 +356,10 @@ def sgd_state(
 
 
 def adam_state(
-    params: ModelParams,
-    learning_rate: float,
-    weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
+    params: ModelParams, learning_rate: float, weight_decay: float = 0.0
 ) -> OptimizerState:
     slots = (np.zeros_like(params.flat), np.zeros_like(params.flat))
-    return OptimizerState(
-        "adam",
-        learning_rate,
-        weight_decay,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-        slots=slots,
-    )
+    return OptimizerState("adam", learning_rate, weight_decay, slots=slots)
 
 
 def optimizer_step(
@@ -403,7 +389,7 @@ def optimizer_step(
     elif state.kind == "adam":
         m, v = state.slots
         t = state.step_count + 1
-        b1, b2 = state.beta1, state.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         g = wd * theta
         g += grads
         m *= b1
@@ -413,7 +399,7 @@ def optimizer_step(
         v += (1.0 - b2) * g
         step = np.sqrt(v)
         step *= 1.0 / np.sqrt(1.0 - b2**t)
-        step += state.epsilon
+        step += ADAM_EPSILON
         np.divide(m, step, out=step)
         step *= lr / (1.0 - b1**t)
         theta -= step

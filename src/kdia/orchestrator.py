@@ -16,6 +16,7 @@ it exactly when distillation and generation are switched off.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,13 +142,21 @@ def _client_batch_fn(state: FedState, t: int, client_id: int):
     return batch_fn
 
 
-def _round_error(exc: ArithmeticError, t: int, phase: str, ids, rows) -> ArithmeticError:
-    """``exc`` reworded with the round, the phase and the clients among
-    ``ids`` whose parameter row in ``rows`` is non-finite; with every row
-    finite the phase failed on its own and no client is named."""
-    bad = [str(int(k)) for k, row in zip(ids, rows) if not np.isfinite(row).all()]
-    clients = f", client {', '.join(bad)}" if bad else ""
-    return ArithmeticError(f"round {t}{clients}, {phase}: {exc}")
+@contextmanager
+def _phase(t: int, phase: str, ids, rows=()):
+    """Reword an ``ArithmeticError`` raised inside as "round t, client k,
+    phase: ...", chained to it. A ``trainer.ClientError`` names
+    ``ids[index]``, any other error the ids whose row in ``rows`` is
+    non-finite; with every row finite the phase failed on its own."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        if isinstance(exc, trainer.ClientError):
+            bad = [ids[exc.index]]
+        else:
+            bad = [k for k, row in zip(ids, rows) if not np.isfinite(row).all()]
+        clients = f", client {', '.join(str(int(k)) for k in bad)}" if bad else ""
+        raise ArithmeticError(f"round {t}{clients}, {phase}: {exc}") from exc
 
 
 def run_round(state: FedState, t: int) -> RoundMetrics:
@@ -174,7 +183,7 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
                 seed=_seed_for(state.master_seed, _TAG_SYNTH, t, k),
             )
         clients.append(trainer.Client(rows, _client_batch_fn(state, t, int(k)), synth))
-    try:
+    with _phase(t, "local update", selected):
         updates, all_stats = trainer.local_update(
             state.student,
             state.teacher,
@@ -183,15 +192,9 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
             clients,
             cfg,
         )
-    except trainer.ClientError as exc:
-        raise ArithmeticError(
-            f"round {t}, client {selected[exc.index]}, local update: {exc}"
-        ) from exc
 
     state.ledger.record_round(selected, t)
-    weights = freqs.round_weights(
-        state.ledger, selected, t, cfg.mode, cfg.part_floor
-    )
+    weights = freqs.round_weights(state.ledger, cfg.mode, cfg.part_floor)
     state.weights_history.append(weights)
 
     if state.registry is not None:
@@ -201,16 +204,13 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
     teacher_acc = 0.0
     if state.registry is not None:
         state.teacher = aggregate.aggregate_teacher(state.registry, weights.teacher)
-        try:
+        with _phase(t, "teacher evaluation", range(cfg.n_clients), state.registry.stored):
             teacher_acc = trainer.evaluate(
                 state.teacher, state.test_ds.features, state.test_ds.labels
             )
-        except ArithmeticError as exc:
-            raise _round_error(
-                exc, t, "teacher evaluation", range(cfg.n_clients), state.registry.stored
-            ) from exc
+    fresh = [u.flat for u in updates]
     if state.gen is not None:
-        try:
+        with _phase(t, "server generator", selected, fresh):
             state.gen, _ = generator.train_generator(
                 state.gen,
                 state.student,
@@ -218,18 +218,10 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
                 cfg,
                 seed=_seed_for(state.master_seed, _TAG_GEN, t),
             )
-        except ArithmeticError as exc:
-            raise _round_error(
-                exc, t, "server generator", selected, [u.flat for u in updates]
-            ) from exc
-    try:
+    with _phase(t, "student evaluation", selected, fresh):
         student_acc = trainer.evaluate(
             state.student, state.test_ds.features, state.test_ds.labels
         )
-    except ArithmeticError as exc:
-        raise _round_error(
-            exc, t, "student evaluation", selected, [u.flat for u in updates]
-        ) from exc
     steps = [v for s in all_stats for v in s.ce]
     kd_steps = [v for s in all_stats for v in s.kd]
     gen_steps = [v for s in all_stats for v in s.gen]
@@ -298,9 +290,7 @@ class FedAvgRun:
     selected_sets: list
 
 
-def fedavg_reference(
-    cfg: ExperimentConfig, master_seed: int, rounds: int | None = None
-) -> FedAvgRun:
+def fedavg_reference(cfg: ExperimentConfig, master_seed: int) -> FedAvgRun:
     """Plain federated averaging, written as its own straight-line loop.
 
     Shares the setup (data, partition, initial model) and the primitives
@@ -309,11 +299,10 @@ def fedavg_reference(
     bit-for-bit when the main loop runs with distillation and generation
     disabled.
     """
-    rounds = cfg.rounds if rounds is None else rounds
     train_ds, test_ds, part, model = _setup(cfg, master_seed)
     sizes = part.sizes().astype(np.float64)
     per_round_models, accs, selected_sets = [], [], []
-    for t in range(rounds):
+    for t in range(cfg.rounds):
         selected = sample_clients(
             cfg.n_clients, cfg.sample_ratio, _seed_for(master_seed, _TAG_SAMPLE, t)
         )

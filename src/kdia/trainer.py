@@ -69,13 +69,11 @@ def kd_loss(
     teacher_logits: np.ndarray,
     temperature: float,
     kd_weight: float,
-    tau_squared: bool = False,
 ) -> tuple[float, np.ndarray]:
     """Weighted distillation loss and its exact gradient w.r.t. student logits.
 
     Computed in the cross-entropy form against the teacher's tempered softmax,
-    which shares its gradient with the KL form. ``tau_squared`` applies the
-    classic temperature-squared rescaling (off by default).
+    which shares its gradient with the KL form.
     """
     student_logits = np.asarray(student_logits, dtype=np.float64)
     teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
@@ -87,12 +85,7 @@ def kd_loss(
         return 0.0, np.zeros_like(student_logits)
     targets = nn.softmax(teacher_logits, temperature)
     loss, grad = nn.softmax_ce_loss(student_logits, targets, temperature)
-    scale = _kd_scale(kd_weight, temperature, tau_squared)
-    return scale * loss, scale * grad
-
-
-def _kd_scale(kd_weight: float, temperature: float, tau_squared: bool) -> float:
-    return kd_weight * (temperature**2 if tau_squared else 1.0)
+    return kd_weight * loss, kd_weight * grad
 
 
 @dataclass
@@ -154,7 +147,8 @@ def local_update(
     vel = np.zeros_like(theta)
     use_kd = teacher_params is not None and cfg.kd_weight > 0.0
     n_classes = global_params.layers[-1][0].shape[1]
-    kd_scale = _kd_scale(cfg.kd_weight, cfg.temperature, cfg.kd_tau_squared)
+    # ``kd_tau_squared`` applies the classic temperature-squared rescaling
+    kd_scale = cfg.kd_weight * (cfg.temperature**2 if cfg.kd_tau_squared else 1.0)
     # checked targets, in the same row order
     onehot = np.empty((len(order), n_classes))
     probs = np.empty((len(order), n_classes)) if use_kd else None

@@ -39,7 +39,7 @@ def test_01_weight_law_suite():
         for t in range(n_rounds):
             selected = rng.choice(n, size=k, replace=False)
             ledger.record_round(selected, t)
-        w = freqs.round_weights(ledger, sorted(selected), n_rounds - 1, "tri-gm")
+        w = freqs.round_weights(ledger, "tri-gm")
         assert (w.interval > 0.0).all()
         if k < n:
             assert (w.interval < 1.0 / k).all()

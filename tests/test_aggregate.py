@@ -79,6 +79,14 @@ class TestRegistry:
         with pytest.raises(ShapeError):
             reg.update(0, make_random_model(6, [3, 4], 0))
 
+    @pytest.mark.parametrize("client_id", [-1, 2])
+    def test_update_out_of_range_id_rejected(self, client_id):
+        theta0 = make_random_model(5, [3, 4], 1)
+        reg = aggregate.ModelRegistry(theta0, 2)
+        with pytest.raises(ProtocolError, match=rf"^client id {client_id} outside \[0, 2\)$"):
+            reg.update(client_id, make_random_model(6, [3, 4], 1))
+        assert all(np.array_equal(row, theta0.flat) for row in reg.stored)
+
     def test_fresh_registry_aggregates_to_theta0(self):
         theta0 = make_random_model(7, [4, 6, 3], 1)
         reg = aggregate.ModelRegistry(theta0, 4)

@@ -29,6 +29,13 @@ class TestRecordRound:
         assert ledger.last_round.tolist() == [0, 0, -1, -1]
         assert ledger.part_counts.tolist() == [1, 1, 0, 0]
 
+    def test_keeps_last_round_and_its_sorted_ids(self):
+        ledger = freqs.ClientLedger([10, 10, 10, 10])
+        ledger.record_round([3, 1], 0)
+        ledger.record_round([2, 0], 1)
+        assert ledger.round == 1
+        assert ledger.selected.tolist() == [0, 2]
+
     def test_repeat_selection_accumulates(self):
         ledger = freqs.ClientLedger([5, 5])
         ledger.record_round([0], 0)
@@ -50,6 +57,11 @@ class TestRecordRound:
         with pytest.raises(ConfigError):
             ledger.record_round([2], 0)
 
+    @pytest.mark.parametrize("counts", [[1.7, 2.9], [10, math.nan], [True, True]])
+    def test_non_integer_sample_counts_rejected(self, counts):
+        with pytest.raises(ConfigError, match="sample_counts must be integers"):
+            freqs.ClientLedger(counts)
+
 
 class TestIntervalFreqs:
     def test_hand_evaluated_first_round(self):
@@ -60,7 +72,7 @@ class TestIntervalFreqs:
         expect_unsel = e1 / total
         ledger = freqs.ClientLedger([10] * 4)
         ledger.record_round([0, 1], 0)
-        f = freqs.round_weights(ledger, [0, 1], 0).interval
+        f = freqs.round_weights(ledger).interval
         np.testing.assert_allclose(f, [expect_sel, expect_sel, expect_unsel, expect_unsel], rtol=1e-15)
         assert f[0] == pytest.approx(0.36552928931500245, abs=1e-12)
         assert f[2] == pytest.approx(0.13447071068499755, abs=1e-12)
@@ -69,7 +81,7 @@ class TestIntervalFreqs:
     def test_all_selected_uniform(self):
         ledger = freqs.ClientLedger([7] * 5)
         ledger.record_round(range(5), 3)
-        f = freqs.round_weights(ledger, range(5), 3).interval
+        f = freqs.round_weights(ledger).interval
         np.testing.assert_allclose(f, 0.2, rtol=1e-15)
 
     def test_long_absence_tiny_but_positive(self):
@@ -77,35 +89,37 @@ class TestIntervalFreqs:
         ledger.record_round(range(10), 0)
         for t in range(1, 51):
             ledger.record_round(range(9), t)  # client 9 never again
-        f = freqs.round_weights(ledger, range(9), 50).interval
+        f = freqs.round_weights(ledger).interval
         assert 0.0 < f[9] < 1e-20
 
     def test_negative_round_rejected(self):
         ledger = freqs.ClientLedger([5, 5])
         ledger.record_round([0], 0)
         with pytest.raises(ParameterError, match="round must be >= 0"):
-            freqs.round_weights(ledger, [0], -1)
+            ledger.record_round([0], -1)
+        assert ledger.last_round.tolist() == [0, -1]
+        assert ledger.part_counts.tolist() == [1, 0]
 
 
 class TestParticipationFreqs:
     def test_half_half(self):
         ledger = freqs.ClientLedger([10] * 4)
         ledger.record_round([0, 1], 0)
-        w = freqs.round_weights(ledger, [0, 1], 0)
+        w = freqs.round_weights(ledger)
         np.testing.assert_allclose(w.participation, [0.5, 0.5, 0, 0])
 
     def test_equal_counts_uniform(self):
         ledger = freqs.ClientLedger([10] * 4)
         for t in range(4):
             ledger.record_round(range(4), t)
-        np.testing.assert_allclose(freqs.round_weights(ledger, range(4), 3).participation, 0.25)
+        np.testing.assert_allclose(freqs.round_weights(ledger).participation, 0.25)
 
     def test_before_any_round_rejected(self):
         # also in the modes whose teacher does not read participation
         ledger = freqs.ClientLedger([10] * 4)
         for mode in freqs.WEIGHT_MODES:
             with pytest.raises(ParameterError, match="before the first round"):
-                freqs.round_weights(ledger, [0], 0, mode)
+                freqs.round_weights(ledger, mode)
 
     def test_variance_decays_under_uniform_sampling(self):
         # matched pair of snapshots from one simulated sampling history
@@ -116,7 +130,7 @@ class TestParticipationFreqs:
             selected = rng.choice(100, size=10, replace=False)
             ledger.record_round(selected, t)
             if t + 1 in (10, 200):
-                var_at[t + 1] = freqs.round_weights(ledger, selected, t).participation.var()
+                var_at[t + 1] = freqs.round_weights(ledger).participation.var()
         assert var_at[200] < var_at[10]
 
 
@@ -124,19 +138,19 @@ class TestVolumeFreqs:
     def test_equal_sizes(self):
         ledger = freqs.ClientLedger([100] * 4)
         ledger.record_round([1], 0)
-        np.testing.assert_allclose(freqs.round_weights(ledger, [1], 0).volume, 0.25)
+        np.testing.assert_allclose(freqs.round_weights(ledger).volume, 0.25)
 
     def test_proportional(self):
         ledger = freqs.ClientLedger([10, 20, 30, 40])
         ledger.record_round([1], 0)
-        w = freqs.round_weights(ledger, [1], 0)
+        w = freqs.round_weights(ledger)
         np.testing.assert_allclose(w.volume, [0.1, 0.2, 0.3, 0.4])
 
     def test_constant_across_rounds(self):
-        ledger, selected, t = simulate_history(5, 8, 3, 150)
-        before = freqs.round_weights(ledger, selected, t).volume
+        ledger, _, _ = simulate_history(5, 8, 3, 150)
+        before = freqs.round_weights(ledger).volume
         ledger.record_round([0], 150)
-        assert np.array_equal(freqs.round_weights(ledger, [0], 150).volume, before)
+        assert np.array_equal(freqs.round_weights(ledger).volume, before)
 
 
 class TestCombine:
@@ -147,13 +161,13 @@ class TestCombine:
 
     def test_tri_gm_round_zero_splits_between_participants(self):
         ledger = self.setup_round_zero()
-        teacher = freqs.round_weights(ledger, [0, 1], 0, "tri-gm").teacher
+        teacher = freqs.round_weights(ledger, "tri-gm").teacher
         np.testing.assert_allclose(teacher, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
         # unequal volumes: the participants split by the cube root of the
         # frequency product (an arithmetic mean or a plain product would not)
         ledger = freqs.ClientLedger([10, 30, 10, 10])
         ledger.record_round([0, 1], 0)
-        w = freqs.round_weights(ledger, [0, 1], 0, "tri-gm")
+        w = freqs.round_weights(ledger, "tri-gm")
         tri = [(w.interval[0] * 0.5 * n) ** (1.0 / 3.0) for n in (1 / 6, 3 / 6)]
         np.testing.assert_allclose(
             w.teacher, [tri[0] / sum(tri), tri[1] / sum(tri), 0.0, 0.0], rtol=1e-14
@@ -166,7 +180,7 @@ class TestCombine:
             ledger.record_round(range(6), t)
         u = np.full(6, 1.0 / 6.0)
         for mode in freqs.WEIGHT_MODES:
-            teacher = freqs.round_weights(ledger, range(6), 2, mode).teacher
+            teacher = freqs.round_weights(ledger, mode).teacher
             np.testing.assert_allclose(teacher, u, rtol=1e-14)
 
     def test_num_mode_pass_through(self):
@@ -174,12 +188,12 @@ class TestCombine:
         ledger = freqs.ClientLedger([10, 20, 30, 40])
         ledger.record_round(range(4), 0)
         ledger.record_round([0], 1)
-        teacher = freqs.round_weights(ledger, [0], 1, "num").teacher
+        teacher = freqs.round_weights(ledger, "num").teacher
         np.testing.assert_allclose(teacher, [0.1, 0.2, 0.3, 0.4], rtol=1e-15)
 
     def test_part_floor_lifts_zeros(self):
         ledger = self.setup_round_zero()
-        teacher = freqs.round_weights(ledger, [0, 1], 0, "tri-gm", part_floor=1e-3).teacher
+        teacher = freqs.round_weights(ledger, "tri-gm", part_floor=1e-3).teacher
         assert teacher[2] > 0.0
 
     @pytest.mark.parametrize("mode", freqs.WEIGHT_MODES)
@@ -188,22 +202,23 @@ class TestCombine:
         a, b = freqs.ClientLedger([3, 5, 7]), freqs.ClientLedger(np.array([3, 5, 7]))
         for ledger in (a, b):
             ledger.record_round(np.array([1]), 0)
-            ledger.record_round([2, 0], 1)
-        wa = freqs.round_weights(a, [2, 0], 1, mode, part_floor=1e-3)
-        wb = freqs.round_weights(b, np.array([0, 2]), 1, mode, part_floor=1e-3)
+        a.record_round([2, 0], 1)
+        b.record_round(np.array([0, 2]), 1)
+        wa = freqs.round_weights(a, mode, part_floor=1e-3)
+        wb = freqs.round_weights(b, mode, part_floor=1e-3)
         for field in dataclasses.fields(freqs.FreqWeights):
             assert np.array_equal(getattr(wa, field.name), getattr(wb, field.name))
 
     def test_unknown_mode_rejected(self):
         ledger = self.setup_round_zero()
         with pytest.raises(ConfigError, match="harmonic"):
-            freqs.round_weights(ledger, [0, 1], 0, "harmonic")
+            freqs.round_weights(ledger, "harmonic")
 
     def test_part_mode_honours_part_floor(self):
         # the floor lifts clients 2 and 3 in `part` as in the tri modes:
         # max(0.5, 0.1) twice and max(0, 0.1) twice, normalized
         ledger = self.setup_round_zero()
-        w = freqs.round_weights(ledger, [0, 1], 0, "part", part_floor=0.1)
+        w = freqs.round_weights(ledger, "part", part_floor=0.1)
         np.testing.assert_allclose(w.teacher, [5 / 12, 5 / 12, 1 / 12, 1 / 12], rtol=1e-15)
         assert w.participation.tolist() == [0.5, 0.5, 0.0, 0.0]  # reported unfloored
 
@@ -212,27 +227,28 @@ class TestStudentWeights:
     def test_proportional(self):
         ledger = freqs.ClientLedger([30, 70])
         ledger.record_round([0, 1], 0)
-        np.testing.assert_allclose(freqs.round_weights(ledger, [0, 1], 0).student, [0.3, 0.7])
+        np.testing.assert_allclose(freqs.round_weights(ledger).student, [0.3, 0.7])
 
     def test_single_client(self):
         ledger = freqs.ClientLedger([10, 20, 30])
         ledger.record_round([2], 0)
-        np.testing.assert_allclose(freqs.round_weights(ledger, [2], 0).student, [1.0])
+        np.testing.assert_allclose(freqs.round_weights(ledger).student, [1.0])
 
     def test_equal_sizes_uniform(self):
         ledger = freqs.ClientLedger([9, 9, 9, 9, 9])
         ledger.record_round([1, 3, 4], 0)
-        np.testing.assert_allclose(freqs.round_weights(ledger, [4, 1, 3], 0).student, 1.0 / 3.0)
+        np.testing.assert_allclose(freqs.round_weights(ledger).student, 1.0 / 3.0)
 
     @pytest.mark.parametrize(
-        "selected,named", [([-1], "outside"), ([1, 1], "duplicate"), ([4], "outside"), ([], "nonempty")]
+        "selected,named",
+        [
+            ([-1], "outside"), ([1, 1], "duplicate"), ([4], "outside"), ([], "nonempty"),
+            ([0.5, 1.2], "integers"), ([True], "integers"),
+        ],
     )
     def test_bad_selected_rejected(self, selected, named):
-        # the ledger and the weights check the selected ids alike
         ledger = freqs.ClientLedger([10, 20, 30, 40])
         ledger.record_round([0, 1], 0)
-        with pytest.raises(ConfigError, match=named):
-            freqs.round_weights(ledger, selected, 0)
         with pytest.raises(ConfigError, match=named):
             ledger.record_round(selected, 1)
 
@@ -270,7 +286,7 @@ class TestRoundWeightsOracle:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, n_clients + 1))
         ledger, selected, t = simulate_history(seed, n_clients, k, n_rounds)
-        w = freqs.round_weights(ledger, selected, t, mode, part_floor)
+        w = freqs.round_weights(ledger, mode, part_floor)
         expect = scalar_oracle(ledger, [int(c) for c in selected], t, mode, part_floor)
         for got, want in zip((w.interval, w.participation, w.volume, w.teacher, w.student), expect):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -287,7 +303,7 @@ class TestRoundWeightsProperties:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, n_clients + 1))
         ledger, selected, t = simulate_history(seed, n_clients, k, n_rounds)
-        w = freqs.round_weights(ledger, selected, t)
+        w = freqs.round_weights(ledger)
         for vec in (w.interval, w.volume, w.teacher, w.student):
             assert abs(vec.sum() - 1.0) < 1e-9
         assert abs(w.participation.sum() - 1.0) < 1e-9
@@ -307,7 +323,7 @@ class TestRoundWeightsProperties:
         ledger = freqs.ClientLedger([25] * 4)
         for t in range(5):
             ledger.record_round(range(4), t)
-        w = freqs.round_weights(ledger, range(4), 4)
+        w = freqs.round_weights(ledger)
         np.testing.assert_allclose(w.teacher, w.volume, rtol=1e-12)
         np.testing.assert_allclose(w.teacher, w.student, rtol=1e-12)
 
@@ -318,7 +334,7 @@ class TestRoundWeightsProperties:
         ledger = freqs.ClientLedger(sizes.astype(int))
         for t in range(5):
             ledger.record_round(range(4), t)
-        w = freqs.round_weights(ledger, range(4), 4)
+        w = freqs.round_weights(ledger)
         expect = np.cbrt(sizes / sizes.sum())
         np.testing.assert_allclose(w.teacher, expect / expect.sum(), rtol=1e-12)
 
@@ -327,8 +343,8 @@ class TestRoundWeightsProperties:
         ledger_b = freqs.ClientLedger([300, 600, 900])
         for ledger in (ledger_a, ledger_b):
             ledger.record_round([0, 2], 0)
-        wa = freqs.round_weights(ledger_a, [0, 2], 0)
-        wb = freqs.round_weights(ledger_b, [0, 2], 0)
+        wa = freqs.round_weights(ledger_a)
+        wb = freqs.round_weights(ledger_b)
         assert np.abs(wa.volume - wb.volume).max() < 1e-12
         assert np.abs(wa.teacher - wb.teacher).max() < 1e-12
         assert np.abs(wa.student - wb.student).max() < 1e-12
@@ -336,4 +352,4 @@ class TestRoundWeightsProperties:
     def test_weights_before_first_round_rejected(self):
         ledger = freqs.ClientLedger([10] * 4)
         with pytest.raises(ParameterError):
-            freqs.round_weights(ledger, [0], 0)
+            freqs.round_weights(ledger)

@@ -374,7 +374,7 @@ class TestVarianceTrack:
             for t in range(120):
                 selected = rng.choice(40, size=4, replace=False)
                 ledger.record_round(selected, t)
-                series.append(freqs.round_weights(ledger, selected, t).participation.var())
+                series.append(freqs.round_weights(ledger).participation.var())
             assert series[119] <= series[20]
 
 

@@ -304,3 +304,101 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         if name not in read
     )
     assert unread == TEST_ONLY_EXCEPTIONS
+
+
+# parameters with a default that no call in src/ or perfbench/ sets, and why they stay
+UNSET_PARAMETER_EXCEPTIONS = {
+    "cli.main(argv)": "the test entry point: tests pass argv, the console script does not",
+    "config.heterogeneity_benchmark_config(seeds)": "the acceptance gate picks its seeds with it",
+}
+
+
+def defaulted_parameters(source: str, module: str) -> list[tuple[str, str, str, int | None]]:
+    """``(module.name, bare name, parameter, position)`` for every parameter
+    with a default of a public top-level function or public method of a
+    public class in ``source``. ``position`` counts the arguments a caller
+    passes (a method's ``self`` is not one) and is None for keyword-only."""
+    found = []
+
+    def add(qualified, fn, skip):
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        for i, arg in enumerate(positional):
+            if i >= len(positional) - len(args.defaults) and i >= skip:
+                found.append((qualified, fn.name, arg.arg, i - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((qualified, fn.name, arg.arg, None))
+
+    for node in ast.parse(source).body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            add(f"{module}.{node.name}", node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    add(f"{module}.{node.name}.{item.name}", item, 1)
+    return found
+
+
+def passed_arguments(source: str) -> dict[str, tuple[float, set[str]]]:
+    """{called bare name: (most positional arguments at one call, keywords
+    passed by name)} over every call in ``source``; a ``*args`` call counts
+    as passing every position and a ``**kwargs`` call every keyword (``**``)."""
+    passed: dict = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name is None:
+            continue
+        most, names = passed.get(name, (0, set()))
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        most = max(most, float("inf") if starred else len(node.args))
+        names |= {k.arg or "**" for k in node.keywords}
+        passed[name] = (most, names)
+    return passed
+
+
+def unset_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.name(parameter)`` for every defaulted parameter of the
+    modules in ``sources`` ({module: source}) that no call in ``callers``
+    passes, by name or by position."""
+    passed: dict = {}
+    for source in callers:
+        for name, (most, names) in passed_arguments(source).items():
+            old_most, old_names = passed.get(name, (0, set()))
+            passed[name] = (max(most, old_most), old_names | names)
+    unset = []
+    for module, source in sources.items():
+        for qualified, name, param, position in defaulted_parameters(source, module):
+            most, names = passed.get(name, (0, set()))
+            by_position = position is not None and position < most
+            if not (by_position or param in names or "**" in names):
+                unset.append(f"{qualified}({param})")
+    return sorted(unset)
+
+
+def test_unset_parameter_guard_sees_every_way_to_pass():
+    source = (
+        "def f(a, b=1, *, c=2): pass\n"
+        "class K:\n    def m(self, x=0): pass\n    def _p(self, y=0): pass\n"
+        "def _g(z=0): pass\n"
+    )
+    assert unset_parameters({"mod": source}, []) == ["mod.K.m(x)", "mod.f(b)", "mod.f(c)"]
+    assert unset_parameters({"mod": source}, ["f(1, 2)\nobj.m(3)\n"]) == ["mod.f(c)"]
+    assert unset_parameters({"mod": source}, ["mod.f(1, c=3)\nk.m(x=1)\n"]) == ["mod.f(b)"]
+    assert unset_parameters({"mod": source}, ["f(*args)\nf(**kw)\nm(*a)\n"]) == []
+    # a call to another function with the same number of arguments sets nothing
+    assert unset_parameters({"mod": source}, ["g(1, 2, c=3)\n"]) == [
+        "mod.K.m(x)", "mod.f(b)", "mod.f(c)"
+    ]
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    # a default no caller outside the tests overrides is a constant
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    callers = [*sources.values(), *(p.read_text(encoding="utf-8") for p in PERFBENCH.glob("*.py"))]
+    assert unset_parameters(sources, callers) == sorted(UNSET_PARAMETER_EXCEPTIONS)

@@ -234,7 +234,7 @@ class TestBackward:
 
         _, grad_logits = nn.softmax_ce_loss(nn.forward(params, batch), labels)
         analytic = nn.backward(params, batch, grad_logits)
-        numeric = fd_model_grads(loss_fn, params, h=1e-5)
+        numeric = fd_model_grads(loss_fn, params)
         assert numeric.shape == analytic.shape
         assert max_relative_error(analytic, numeric) < 1e-4
 

@@ -78,15 +78,6 @@ class TestKdLoss:
         _, g3 = trainer.kd_loss(s, t, 2.0, 0.6)
         np.testing.assert_allclose(g3, 3.0 * g1, rtol=1e-15)
 
-    def test_tau_squared_flag(self):
-        rng = np.random.default_rng(6)
-        s = rng.normal(size=(3, 4))
-        t = rng.normal(size=(3, 4))
-        l0, g0 = trainer.kd_loss(s, t, 2.0, 0.5)
-        l1, g1 = trainer.kd_loss(s, t, 2.0, 0.5, tau_squared=True)
-        assert l1 == pytest.approx(4.0 * l0, rel=1e-15)
-        np.testing.assert_allclose(g1, 4.0 * g0, rtol=1e-15)
-
     def test_bad_temperature_rejected(self):
         with pytest.raises(ParameterError):
             trainer.kd_loss(np.zeros((2, 3)), np.zeros((2, 3)), 0.0, 0.5)
@@ -96,10 +87,12 @@ def per_batch_oracle(model, teacher, x, y, batch_fn, cfg, synth=None):
     """``local_update`` as a plain per-batch loop over the public, checked
     losses: ``softmax_ce_loss`` on the labels and ``kd_loss`` on the
     teacher's logits, both recomputed for every batch. The teacher's logits
-    come from one forward pass over all of the rows, as in the trainer."""
+    come from one forward pass over all of the rows, as in the trainer, and
+    ``kd_tau_squared`` scales the KD weight by the squared temperature."""
     use_kd = teacher is not None and cfg.kd_weight > 0.0
     use_gen = synth is not None and cfg.gen_weight > 0.0
     teacher_logits = nn.forward(teacher, x) if use_kd else None
+    kd_weight = cfg.kd_weight * (cfg.temperature**2 if cfg.kd_tau_squared else 1.0)
     params = model.copy()
     state = nn.sgd_state(params, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
     stats = trainer.LocalStats()
@@ -112,8 +105,7 @@ def per_batch_oracle(model, teacher, x, y, batch_fn, cfg, synth=None):
             kd = 0.0
             if use_kd:
                 kd, kd_grad = trainer.kd_loss(
-                    logits, teacher_logits[pos], cfg.temperature, cfg.kd_weight,
-                    cfg.kd_tau_squared,
+                    logits, teacher_logits[pos], cfg.temperature, kd_weight
                 )
                 grad = grad + kd_grad
             grads = nn.backward(params, x[pos], grad)
