@@ -12,6 +12,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import files, gradcheck, harness, nn, orchestrator, trainer
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigError, ProtocolError
@@ -194,16 +196,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Bad input exits 2 and a run that diverges exits 1,
+    each with one line on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the layer kernels check their outputs and name the round, so
+        # numpy's overflow warnings would only repeat that line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,10 +13,18 @@ weight of never-participated clients to exactly zero. The student weights are
 plain data-volume shares over the currently selected set. ``ClientLedger``
 holds the state, checks each round's ids in ``record_round`` and keeps the
 last round it recorded; ``round_weights`` computes every vector of that round.
+
+In every mode a client's teacher weight is a sum of terms, each a per-round
+coefficient times a factor read from the client's own last round t_k, count
+c_k and size n_k (and, with a participation floor, from which side of it the
+client sits). So only the round's participants and the clients crossing the
+floor change their factors, which lets ``aggregate`` keep the teacher as a
+running sum per term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,14 +84,21 @@ class ClientLedger:
 @dataclass
 class FreqWeights:
     """All weight vectors of one round: the three frequencies, the normalized
-    teacher weights over all N, and the student weights over the selected set
-    (ascending client id)."""
+    teacher weights over all N, the student weights over the selected set
+    (ascending client id), and the teacher's terms.
+
+    Client k's teacher weight is proportional to
+    ``sum_j exp(log_coefs[j] + log_factors[j, k])``; a factor of -inf is a
+    zero. ``teacher`` is that sum, normalized.
+    """
 
     interval: np.ndarray
     participation: np.ndarray
     volume: np.ndarray
     teacher: np.ndarray
     student: np.ndarray
+    log_coefs: np.ndarray
+    log_factors: np.ndarray
 
 
 def round_weights(
@@ -101,17 +116,38 @@ def round_weights(
     if total == 0:
         raise ParameterError("participation frequencies undefined before the first round")
     u = (ledger.last_round - ledger.round).astype(np.float64)  # -(t - t_k), all <= 0
-    e = np.exp(u - u.max())
+    top = u.max()
+    e = np.exp(u - top)
     f_intv = e / e.sum()
     f_part = ledger.part_counts / total
     f_num = ledger.sample_counts / ledger.sample_counts.sum()
-    f_floor = np.maximum(f_part, part_floor) if part_floor > 0.0 else f_part
+    # (log coefficient, log factor) of each term; the factors of client k read
+    # only its t_k, c_k and n_k, and the coefficients are the normalizers
+    t_k = ledger.last_round.astype(np.float64)
+    with np.errstate(divide="ignore"):
+        log_c = np.log(ledger.part_counts.astype(np.float64))  # -inf if never selected
+    log_n = np.log(ledger.sample_counts.astype(np.float64))
+    a_t = -(ledger.round + top + math.log(e.sum()))  # -log sum_k e^(t_k)
+    a_n = -math.log(ledger.sample_counts.sum())
+    part = [(-math.log(total), log_c)]
+    if part_floor > 0.0:
+        # max(c_k / C, floor) is one of two terms: c_k / C, or the floor itself
+        floored = f_part < part_floor
+        part = [
+            (part[0][0], np.where(floored, -np.inf, log_c)),
+            (math.log(part_floor), np.where(floored, 0.0, -np.inf)),
+        ]
     if mode == "tri-gm":
-        tri = np.cbrt(f_intv * f_floor * f_num)
+        terms = [((a_t + a + a_n) / 3.0, (t_k + g + log_n) / 3.0) for a, g in part]
     elif mode == "tri-am":
-        tri = (f_intv + f_floor + f_num) / 3.0
+        terms = [(a_t, t_k), *part, (a_n, log_n)]  # the common 1/3 cancels
     else:
-        tri = {"intv": f_intv, "part": f_floor, "num": f_num}[mode]
-    teacher = tri / tri.sum()
+        terms = {"intv": [(a_t, t_k)], "part": part, "num": [(a_n, log_n)]}[mode]
+    log_coefs = np.array([a for a, _ in terms])
+    log_factors = np.stack([g for _, g in terms])
+    lead = (log_coefs + log_factors.max(axis=1)).max()
+    tri = np.exp(log_factors + (log_coefs - lead)[:, None]).sum(axis=0)
     sizes = ledger.sample_counts[ledger.selected].astype(np.float64)
-    return FreqWeights(f_intv, f_part, f_num, teacher, sizes / sizes.sum())
+    return FreqWeights(
+        f_intv, f_part, f_num, tri / tri.sum(), sizes / sizes.sum(), log_coefs, log_factors
+    )

@@ -203,7 +203,9 @@ def run_round(state: FedState, t: int) -> RoundMetrics:
     state.student = aggregate.aggregate_student(updates, weights.student)
     teacher_acc = 0.0
     if state.registry is not None:
-        state.teacher = aggregate.aggregate_teacher(state.registry, weights.teacher)
+        state.teacher = aggregate.aggregate_teacher(
+            state.registry, weights.log_coefs, weights.log_factors
+        )
         with _phase(t, "teacher evaluation", range(cfg.n_clients), state.registry.stored):
             teacher_acc = trainer.evaluate(
                 state.teacher, state.test_ds.features, state.test_ds.labels

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_model, params_equal
-from kdia import aggregate, nn
+from kdia import aggregate, freqs, nn
 from kdia.errors import ProtocolError, ShapeError
 
 
@@ -41,6 +41,30 @@ def sequential_sum(rows, weights):
 def random_weights(rng, n):
     w = rng.uniform(0.05, 1.0, size=n)
     return w / w.sum()
+
+
+def teacher_of(reg, weights):
+    """The teacher for a plain weight vector: one term whose log factors are
+    the weights' logs."""
+    w = np.asarray(weights, dtype=np.float64)
+    log_w = np.log(w, out=np.full(w.shape, -np.inf), where=w > 0)
+    return aggregate.aggregate_teacher(reg, [0.0], log_w[None])
+
+
+def assert_relative(got, exact, bound=1e-12):
+    err = np.abs(got - exact).max() / np.abs(exact).max()
+    assert err <= bound, f"relative error {err:.3e} > {bound:.0e}"
+
+
+def random_model(rng, reg):
+    return nn.ModelParams.from_flat(rng.normal(size=reg.stored.shape[1]), reg.layout)
+
+
+def vector_registry(n, cols):
+    return aggregate.ModelRegistry(nn.ModelParams([(np.zeros((1, cols)), np.zeros(cols))], 1), n)
+
+
+FLOORS = (0.0, 0.05)
 
 
 class TestRegistry:
@@ -90,7 +114,7 @@ class TestRegistry:
     def test_fresh_registry_aggregates_to_theta0(self):
         theta0 = make_random_model(7, [4, 6, 3], 1)
         reg = aggregate.ModelRegistry(theta0, 4)
-        out = aggregate.aggregate_teacher(reg, random_weights(np.random.default_rng(0), 4))
+        out = teacher_of(reg, random_weights(np.random.default_rng(0), 4))
         for (w, b), (ow, ob) in zip(theta0.layers, out.layers):
             assert np.abs(w - ow).max() < 1e-15
             assert np.abs(b - ob).max() < 1e-15
@@ -133,9 +157,9 @@ class TestWeightedAggregate:
          ([0.5, 0.5, -0.0, np.inf], "weight 3")],
     )
     def test_non_convex_weights_rejected_naming_index(self, weights, named):
-        reg = aggregate.ModelRegistry(make_random_model(22, [2, 3], 1), len(weights))
+        models = [make_random_model(22, [2, 3], 1)] * len(weights)
         with pytest.raises(ProtocolError, match=f"^{named} is"):
-            aggregate.aggregate_teacher(reg, weights)
+            aggregate.aggregate_student(models, weights)
 
     def test_length_mismatch_rejected(self):
         models = [make_random_model(21, [2, 3], 1)] * 2
@@ -186,7 +210,7 @@ class TestTeacherStudentAggregates:
         upd1 = make_random_model(42, [3, 4, 2], 1)
         reg.update(0, upd0)
         reg.update(1, upd1)
-        teacher = aggregate.aggregate_teacher(reg, [0.5, 0.5, 0.0, 0.0])
+        teacher = teacher_of(reg, [0.5, 0.5, 0.0, 0.0])
         oracle = scalar_loop_aggregate([upd0, upd1], [0.5, 0.5])
         for (tw, tb), (ow, ob) in zip(teacher.layers, oracle.layers):
             assert np.abs(tw - ow).max() < 1e-12
@@ -198,7 +222,7 @@ class TestTeacherStudentAggregates:
         for k, m in enumerate(models):
             reg.update(k, m)
         uniform = np.full(4, 0.25)
-        teacher = aggregate.aggregate_teacher(reg, uniform)
+        teacher = teacher_of(reg, uniform)
         student = aggregate.aggregate_student(models, uniform)
         for (tw, tb), (sw, sb) in zip(teacher.layers, student.layers):
             assert np.abs(tw - sw).max() < 1e-12
@@ -209,41 +233,92 @@ class TestTeacherStudentAggregates:
         reg = aggregate.ModelRegistry(theta0, 3)
         target = make_random_model(61, [3, 4], 1)
         reg.update(2, target)
-        teacher = aggregate.aggregate_teacher(reg, [0.0, 0.0, 1.0])
+        teacher = teacher_of(reg, [0.0, 0.0, 1.0])
         for (tw, tb), (gw, gb) in zip(teacher.layers, target.layers):
             assert np.abs(tw - gw).max() < 1e-15
             assert np.abs(tb - gb).max() < 1e-15
 
-    @given(st.integers(0, 10_000), st.integers(1, 30), st.integers(1, 40), st.floats(0.0, 1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_full_sequential_loop_bitwise(self, seed, n, cols, zero_share):
-        rng = np.random.default_rng(seed)
-        reg = aggregate.ModelRegistry(
-            nn.ModelParams([(np.zeros((1, cols)), np.zeros(cols))], 1), n
-        )
-        reg.stored[:] = rng.normal(size=reg.stored.shape)
-        reg.stored[rng.random(reg.stored.shape) < 0.1] = 0.0
-        weights = rng.uniform(0.05, 1.0, size=n)
-        weights[rng.random(n) < zero_share] = 0.0
-        weights[rng.integers(n)] = 0.5
-        weights /= weights.sum()
-        teacher = aggregate.aggregate_teacher(reg, weights).flat
-        # skipped zero-weight rows only change the sign of exact zeros
-        assert np.array_equal(
-            (teacher + 0.0).view(np.int64),
-            (sequential_sum(reg.stored, weights) + 0.0).view(np.int64),
-        )
-
     def test_zero_weight_inf_row_leaves_teacher_finite(self):
+        # a row whose factor is zero never reaches the teacher's sums
         theta0 = make_random_model(65, [3, 4, 2], 1)
         reg = aggregate.ModelRegistry(theta0, 3)
-        reg.stored[1, 0] = np.inf
-        teacher = aggregate.aggregate_teacher(reg, [0.5, 0.0, 0.5])
-        assert np.isfinite(teacher.flat).all()
+        teacher_of(reg, [0.2, 0.3, 0.5])
+        poisoned = theta0.copy()
+        poisoned.flat[0] = np.inf
+        reg.update(1, poisoned)
+        for _ in range(2):
+            assert np.isfinite(teacher_of(reg, [0.5, 0.0, 0.5]).flat).all()
+
+    def test_factor_shape_mismatch_rejected(self):
+        reg = aggregate.ModelRegistry(make_random_model(66, [3, 4], 1), 3)
+        with pytest.raises(ShapeError):
+            aggregate.aggregate_teacher(reg, [0.0], np.zeros((1, 4)))
+        with pytest.raises(ShapeError):
+            aggregate.aggregate_teacher(reg, [0.0, 0.0], np.zeros((1, 3)))
+
+    def test_new_term_count_starts_the_sums_over(self):
+        rng = np.random.default_rng(67)
+        reg = vector_registry(4, 3)
+        for k in range(4):
+            reg.update(k, random_model(rng, reg))
+        teacher_of(reg, [0.1, 0.2, 0.3, 0.4])
+        log_factors = np.log([[1.0, 2.0, 0.5, 1.0], [0.5, 0.5, 3.0, 1.0]])
+        teacher = aggregate.aggregate_teacher(reg, [0.0, np.log(2.0)], log_factors)
+        weights = np.array([2.0, 3.0, 6.5, 3.0]) / 14.5
+        assert_relative(teacher.flat, sequential_sum(reg.stored, weights))
 
     def test_aggregation_never_mutates_registry(self):
         theta0 = make_random_model(70, [3, 4], 1)
         reg = aggregate.ModelRegistry(theta0, 3)
         before = reg.stored.copy()
-        aggregate.aggregate_teacher(reg, [0.1, 0.4, 0.5])
+        teacher_of(reg, [0.1, 0.4, 0.5])
         assert np.array_equal(reg.stored, before)
+
+
+class TestRunningSum:
+    """The teacher as running sums against the full weighted sum of the
+    stored rows with ``round_weights``' teacher vector."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 30),
+        st.integers(1, 20),
+        st.integers(1, 30),
+        st.sampled_from(freqs.WEIGHT_MODES),
+        st.one_of(st.sampled_from(FLOORS), st.floats(1e-6, 1.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_sum_over_random_updates(self, seed, n, cols, n_rounds, mode, floor):
+        rng = np.random.default_rng(seed)
+        reg = vector_registry(n, cols)
+        reg.stored[:] = rng.normal(size=reg.stored.shape)
+        ledger = freqs.ClientLedger(rng.integers(1, 200, size=n))
+        for t in range(n_rounds):
+            ledger.record_round(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False), t)
+            w = freqs.round_weights(ledger, mode, floor)
+            # any rows, not only the round's clients, and some more than once
+            for k in rng.integers(0, n, size=int(rng.integers(0, 2 * n))):
+                reg.update(int(k), random_model(rng, reg))
+            teacher = aggregate.aggregate_teacher(reg, w.log_coefs, w.log_factors)
+            assert_relative(teacher.flat, sequential_sum(reg.stored, w.teacher))
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    @pytest.mark.parametrize("mode", freqs.WEIGHT_MODES)
+    def test_drift_over_2000_rounds(self, mode, floor):
+        n, rounds = 20, 2000
+        rng = np.random.default_rng(2000)
+        reg = vector_registry(n, 4)
+        ledger = freqs.ClientLedger(rng.integers(1, 200, size=n))
+        floored = np.ones(n, dtype=bool)
+        moves = 0
+        for t in range(rounds):
+            ledger.record_round(rng.choice(n, size=2, replace=False), t)
+            w = freqs.round_weights(ledger, mode, floor)
+            for k in ledger.selected:
+                reg.update(int(k), random_model(rng, reg))
+            teacher = aggregate.aggregate_teacher(reg, w.log_coefs, w.log_factors)
+            assert_relative(teacher.flat, sequential_sum(reg.stored, w.teacher))
+            now = w.participation < floor
+            moves += int((now & ~floored).sum())  # idle clients sinking below the floor
+            floored = now
+        assert (moves > 0) == (floor > 0.0)

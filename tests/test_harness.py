@@ -508,6 +508,15 @@ class TestCli:
         assert len(records) == 2
         assert all(r.teacher_acc == 0.0 for r in records)
 
+    def test_diverging_run_exits_1_with_one_line(self, tmp_path, capsys):
+        rc = cli_main(["run", "--out-dir", str(tmp_path), "--rounds", "1", "--seeds", "0",
+                       "--n-clients", "4", "--samples-per-class", "20", "--local-epochs", "1",
+                       "--disable-gen", "--learning-rate", "1e300"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: round 0, teacher evaluation: forward pass produced non-finite values\n"
+        assert not (tmp_path / "run-seed0.csv").exists()
+
     def test_gradcheck_verb_passes(self, capsys):
         rc = cli_main(["gradcheck", "--instances", "3", "--seed", "1"])
         out = capsys.readouterr().out
