@@ -43,6 +43,10 @@ _RANGES = (
     ("in [0, 1)", lambda v: 0 <= v < 1, ("momentum",)),
 )
 
+# the most bytes one array of a run may take; the sizes of a config that
+# needs more are a slip, and fail here, before any data or output exists
+MAX_ARRAY_BYTES = 2**32
+
 _BOOL_WORDS = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
     **dict.fromkeys(("0", "false", "no", "off"), False),
@@ -159,6 +163,12 @@ class ExperimentConfig:
                 f"of n_classes = {self.n_classes}, samples_per_class = "
                 f"{self.samples_per_class} and test_fraction = {self.test_fraction}"
             )
+        for keys, values in self._largest_arrays():
+            if 8 * values > MAX_ARRAY_BYTES:
+                raise ConfigError(
+                    f"{keys} ask for an array of {8 * values // 2**30} GiB, over "
+                    f"the {MAX_ARRAY_BYTES // 2**30} GiB that one array may take"
+                )
         if self.mode not in WEIGHT_MODES:
             raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
         if not self.seeds:
@@ -172,6 +182,34 @@ class ExperimentConfig:
             raise ConfigError(f"gen_weight must be >= 0, got {self.gen_weight}")
         if self.gen_weight == -1.0:
             self.gen_weight = GEN_WEIGHT_BY_BETA.get(self.beta, GEN_WEIGHT_FALLBACK)
+
+    def _largest_arrays(self):
+        """``(keys, count)`` of each of the largest float64 or int64 arrays
+        that a run of this config allocates, from the keys that size it."""
+        n_params = (self.d_in + 1) * self.feature_dim + (self.feature_dim + 1) * self.n_classes
+        arrays = [
+            ("n_classes × samples_per_class rows of the widest of d_in, feature_dim "
+             "and n_classes", self.n_classes * self.samples_per_class
+             * max(self.d_in, self.feature_dim, self.n_classes)),
+            ("n_clients × the parameters of d_in, feature_dim and n_classes",
+             self.n_clients * n_params),
+        ]
+        if not self.disable_gen:
+            gen_width = max(self.noise_dim + self.n_classes, self.gen_hidden, self.feature_dim)
+            gen_params = (self.noise_dim + self.n_classes + 1) * self.gen_hidden + (
+                self.gen_hidden + 1
+            ) * self.feature_dim
+            arrays += [
+                ("gen_epochs × gen_batches", self.gen_epochs * self.gen_batches),
+                ("gen_batch_size rows of the widest of noise_dim + n_classes, "
+                 "gen_hidden and feature_dim", self.gen_batch_size * gen_width),
+                ("the generator parameters of noise_dim, n_classes, gen_hidden "
+                 "and feature_dim", gen_params),
+                # a client smaller than a batch gets a label pool per epoch
+                ("local_epochs × batch_size", self.local_epochs * min(
+                    self.batch_size, self.n_classes * self.samples_per_class)),
+            ]
+        return arrays
 
 
 def heterogeneity_benchmark_config(seeds=(0, 1, 2)) -> ExperimentConfig:

@@ -3,41 +3,48 @@ the frozen teacher, and the generator-auxiliary term on synthetic features.
 
 One SGD-momentum step runs per real batch. The teacher's tempered softmax on
 the same batch supervises the student's tempered softmax. The teacher and
-the client's rows stay fixed for the whole update, so that softmax is
-computed once per client over all of its rows and indexed per batch; softmax
-works row by row, so these are the per-batch targets up to the rounding of
-the teacher's matmul. Synthetic feature batches enter through the
-classifier-only path. By default one synthetic batch is drawn per epoch and
-reused across that epoch's real batches, with ``syn_per_batch`` available to
-resample per real batch instead.
+the clients' rows stay fixed for the whole update, so those targets are
+computed once, before any step, and indexed per batch; softmax works row by
+row, so these are the per-batch targets up to the rounding of the teacher's
+matmul. Synthetic feature batches enter through the classifier-only path. By
+default one synthetic batch is drawn per epoch and reused across that
+epoch's real batches, with ``syn_per_batch`` available to resample per real
+batch instead.
 
-``local_update`` trains all of a round's clients in lockstep. Each client's
-code is its own serial loop, written as a generator: it checks the client's
-targets, then yields the block rows and synthetic batch of each step in
-order, drawing from the client's own batch and synthesis streams. At every
-tick each running loop yields its next step, and the clients whose batches
-have the same row count (and synthetic batches the same row count) run one
-stacked step: the ``nn`` kernels over ``(G, rows, width)`` arrays, one slice
-per client. Every client's arithmetic is the one it would run on its own, so
-the results are bit-identical to training the clients one after another. A
-short batch is never padded, because matmul rows depend on the row count: it
-steps with the clients whose batch has its row count at that tick, or as a
-group of one. The working set is the clients' rows and checked targets, the
-current epoch's batches and one step's stacked arrays.
+``local_update`` trains all of a round's clients in lockstep. It gathers
+their rows into one block, one slice per client, and builds the targets of
+the whole block first. Each client's code is then its own serial loop,
+written as a generator: it yields the block rows and synthetic batch of each
+step in order, drawing from the client's own batch and synthesis streams. At
+every tick each running loop yields its next step, and the clients whose
+batches have the same row count (and synthetic batches the same row count)
+run one stacked step: the ``nn`` kernels over ``(G, rows, width)`` arrays,
+one slice per client. Every client's arithmetic is the one it would run on
+its own, so the results are bit-identical to training the clients one after
+another. A short batch is never padded, because matmul rows depend on the
+row count: it steps with the clients whose batch has its row count at that
+tick, or as a group of one. The working set is the clients' rows and checked
+targets, the current epoch's batches and one step's stacked arrays.
 
-The client's labels and the teacher's soft targets are checked by
-``nn.target_rows`` once per update, and every synthetic draw comes with the
-one-hot rows its synthesizer checked; each step reads its rows from those
-checked arrays. Each step takes the student logits' row max once and runs
-``nn.tempered_ce`` on it twice, at temperature 1 for the labels and at the
-distillation temperature for the teacher's targets.
+The labels and the teacher's soft targets are each checked by one
+``nn.target_rows`` call over the update's block, and the teacher's logits go
+through one ``nn.softmax``. The teacher's forward pass runs once per client
+on the client's rows, not once over the block: a matmul row's bits depend on
+the row count, so only a per-client forward gives every client the targets
+it would get trained alone. Every synthetic draw comes with the one-hot rows
+its synthesizer checked; each step reads its rows from those checked arrays.
+Each step takes the student logits' row max once and runs ``nn.tempered_ce``
+on it twice, at temperature 1 for the labels and at the distillation
+temperature for the teacher's targets.
 
 Clients share no state, so one client's failure cannot change another's
 run. Every loop runs to its end or to its first error (a non-finite value,
 say), and then the lowest-indexed failing client's error is raised: the one
-the serial loop raises, with the same client, message and cause. A stacked
-step that raises is queued again as groups of one, which find the clients
-that failed through the same step code.
+the serial loop raises, with the same client, message and cause. A block
+target check that raises runs again on each client's rows, only to find the
+clients that fail; those clients, and any whose teacher forward raises,
+never start a loop. A stacked step that raises is queued again as groups of
+one, which find the clients that failed through the same step code.
 
 The settings are read from the experiment's ``ExperimentConfig`` by their
 key names; their ranges were checked when that config was built.
@@ -149,20 +156,49 @@ def local_update(
     n_classes = global_params.layers[-1][0].shape[1]
     # ``kd_tau_squared`` applies the classic temperature-squared rescaling
     kd_scale = cfg.kd_weight * (cfg.temperature**2 if cfg.kd_tau_squared else 1.0)
-    # checked targets, in the same row order
-    onehot = np.empty((len(order), n_classes))
-    probs = np.empty((len(order), n_classes)) if use_kd else None
+    n_rows = len(order)
+    failed: dict = {}  # client index -> the error its setup or loop raised
 
-    def serial_loop(client, lo, hi):
-        """The client's own serial loop over block rows ``lo:hi``: checks its
-        targets, then yields ``(block positions, synthetic batch or None)``
-        for each of its steps in order."""
-        onehot[lo:hi] = nn.target_rows(labels[lo:hi], hi - lo, n_classes)
-        if use_kd:
-            logits = nn.forward(teacher_params, features[lo:hi])
-            probs[lo:hi] = nn.target_rows(
-                nn.softmax(logits, cfg.temperature), hi - lo, n_classes
-            )
+    def per_client(out, rows_of):
+        """``out[lo:hi] = rows_of(lo, hi)`` for the rows of each client that
+        has not failed; a client whose call raises fails with its error."""
+        for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            if i not in failed:
+                try:
+                    out[lo:hi] = rows_of(lo, hi)
+                except (ArithmeticError, ValueError) as exc:
+                    failed[i] = exc
+        return out
+
+    def checked(values):
+        """``nn.target_rows`` of ``values(lo, hi)`` once over the block; if
+        that raises, or a client has no rows, the check runs on each
+        client's rows instead, to find the clients that fail."""
+        if np.diff(offsets).min() > 0:
+            try:
+                return nn.target_rows(values(0, n_rows), n_rows, n_classes)
+            except (ArithmeticError, ValueError):
+                pass
+        return per_client(
+            np.zeros((n_rows, n_classes)),
+            lambda lo, hi: nn.target_rows(values(lo, hi), hi - lo, n_classes),
+        )
+
+    onehot = checked(lambda lo, hi: labels[lo:hi])
+    probs = None
+    if use_kd:
+        # the teacher forward runs per client, as a matmul row's bits depend
+        # on the row count; the softmax works row by row
+        logits = per_client(
+            np.zeros((n_rows, n_classes)),
+            lambda lo, hi: nn.forward(teacher_params, features[lo:hi]),
+        )
+        probs = checked(lambda lo, hi: nn.softmax(logits[lo:hi], cfg.temperature))
+
+    def serial_loop(client, lo):
+        """The client's own serial loop from block row ``lo``: yields
+        ``(block positions, synthetic batch or None)`` for each of its steps
+        in order."""
         gen = cfg.gen_weight > 0.0 and client.synth is not None
         syn = None
         for epoch in range(cfg.local_epochs):
@@ -202,12 +238,13 @@ def local_update(
         nn.optimizer_step(model, grads, state)
         return ce, kd, gen
 
-    # the running loops in client order; a loop leaves at its end or first error
+    # the running loops in client order; a loop leaves at its end or first
+    # error, and a client whose setup failed never starts one
     loops = {
-        i: serial_loop(c, lo, hi)
-        for i, (c, lo, hi) in enumerate(zip(clients, offsets[:-1], offsets[1:]))
+        i: serial_loop(c, lo)
+        for i, (c, lo) in enumerate(zip(clients, offsets))
+        if i not in failed
     }
-    failed: dict = {}
     while loops:
         groups: dict = {}
         for i, loop in list(loops.items()):

@@ -583,6 +583,17 @@ class TestCli:
              "n_clients = 5000 exceeds the 4000 training rows"),
             (["sweep", "--axis", "N", "--values", "20,5000", "--out-dir", "{tmp}"],
              "n_clients = 5000"),
+            # sizes whose arrays would not fit one array's budget, before any data
+            (["run", "--rounds", "1", "--seeds", "0", "--n-clients", "4",
+              "--samples-per-class", "1000000000000", "--out-dir", "{tmp}/big"],
+             "n_classes × samples_per_class rows"),
+            (["run", "--rounds", "1", "--seeds", "0", "--n-clients", "4",
+              "--samples-per-class", "99999999999999999999999", "--out-dir", "{tmp}/big"],
+             "samples_per_class"),
+            (["run", "--n-clients", "4000", "--feature-dim", "5000", "--out-dir", "{tmp}/big"],
+             "n_clients × the parameters"),
+            (["run", "--gen-epochs", "1000000", "--gen-batches", "1000000",
+              "--out-dir", "{tmp}/big"], "gen_epochs × gen_batches"),
             # an output path that cannot be written, before any run
             (["run", "--checkpoint-interval", "1", "--seeds", "0,1", "--out-dir", "{tmp}/ck"],
              "--out-dir {tmp}/ck/checkpoints-seed1: not a directory"),
@@ -680,6 +691,10 @@ class TestCli:
             (["fedavg-ref"], "-1"),
             (["run", "--n-clients", "5000"], None),
             (["sweep", "--axis", "N", "--values", "20,5000"], None),
+            (["run", "--rounds", "1", "--seeds", "0", "--n-clients", "4",
+              "--samples-per-class", "1000000000000"], None),
+            (["run", "--rounds", "1", "--seeds", "0", "--n-clients", "4",
+              "--samples-per-class", "99999999999999999999999"], None),
         ],
     )
     def test_rejected_command_leaves_no_out_dir(self, tmp_path, monkeypatch, argv, env_seed):

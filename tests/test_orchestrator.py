@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import params_equal
 from kdia import generator, orchestrator, trainer
@@ -36,6 +38,25 @@ def tiny_overrides(**kw):
 
 def tiny_cfg(**kw):
     return ExperimentConfig(**tiny_overrides(**kw))
+
+
+class TestSeedStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**80 - 1),
+        st.lists(st.integers(0, 2**40), max_size=4),
+    )
+    def test_words_give_the_list_forms_stream(self, master, tags):
+        # an int at or above 2**32 is several words, as numpy splits it
+        ours = orchestrator._seed_for(master, *tags).generate_state(8)
+        listed = np.random.SeedSequence([master, *tags]).generate_state(8)
+        assert np.array_equal(ours, listed)
+
+    def test_numpy_ints_and_negative_values(self):
+        ours = orchestrator._seed_for(np.int64(3), np.int64(6), 2**32).generate_state(4)
+        assert np.array_equal(ours, np.random.SeedSequence([3, 6, 2**32]).generate_state(4))
+        with pytest.raises(ValueError, match=">= 0"):
+            orchestrator._seed_for(-1, 6)
 
 
 class TestSampleClients:

@@ -224,19 +224,30 @@ class TestLocalUpdate:
     @pytest.mark.parametrize("kd_weight", [0.0, 0.5])
     def test_targets_checked_once_per_call(self, monkeypatch, kd_weight):
         x, y, model, teacher = self.setup_inputs(19)
-        real_target_rows = nn.target_rows
-        seen = []
+        real_target_rows, real_softmax = nn.target_rows, nn.softmax
+        seen, softmaxes = [], []
 
         def counting_target_rows(targets, n_rows, n_cols):
             seen.append(np.asarray(targets).ndim)
             return real_target_rows(targets, n_rows, n_cols)
 
+        def counting_softmax(logits, temperature=1.0):
+            softmaxes.append(len(logits))
+            return real_softmax(logits, temperature)
+
         monkeypatch.setattr(nn, "target_rows", counting_target_rows)
+        monkeypatch.setattr(nn, "softmax", counting_softmax)
         cfg = ExperimentConfig(local_epochs=4, kd_weight=kd_weight)
-        batch_fn = lambda epoch: [np.arange(4), np.arange(4, 8)]
-        update_one(model, teacher, x, y, batch_fn, cfg)
-        # the labels, then the teacher's probability rows
+        # three clients of 3, 3 and 2 rows, one batch each an epoch
+        clients = [
+            trainer.Client(r, lambda epoch, n=len(r): [np.arange(n)])
+            for r in (np.arange(3), np.arange(3, 6), np.arange(6, 8))
+        ]
+        trainer.local_update(model, teacher, x, y, clients, cfg)
+        # once over the round's rows: the labels, then the teacher's
+        # probability rows from one softmax
         assert seen == ([1, 2] if kd_weight else [1])
+        assert softmaxes == ([len(x)] if kd_weight else [])
 
     def test_each_synthetic_draw_checked_once(self, monkeypatch):
         x, y, model, teacher = self.setup_inputs(23)
@@ -395,13 +406,14 @@ class TestLockstep:
     # remainder), 7 and 1 are smaller than one batch, 128 has no remainder
     SIZES = (150, 30, 7, 128, 94, 1, 64)
 
-    def clients(self, cfg, sizes=SIZES, seed=50):
+    def clients(self, cfg, sizes=SIZES, seed=50, widths=(4, 3)):
         """Shared rows, each client's row indices (interleaved across the
         shared array), its (features, labels) copy for the oracle, and a
-        batch function per client."""
+        batch function per client; ``widths`` are the feature and class
+        counts."""
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(sum(sizes) + 5, 4))
-        y = rng.integers(0, 3, size=len(x))
+        x = rng.normal(size=(sum(sizes) + 5, widths[0]))
+        y = rng.integers(0, widths[1], size=len(x))
         order = rng.permutation(len(x))
         bounds = np.cumsum((0,) + tuple(sizes))
         rows = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -442,6 +454,21 @@ class TestLockstep:
             oracle = per_batch_oracle(
                 model, teacher, xi, yi, batch_fn(i), cfg, synth=self.synth(cfg, len(xi), i)
             )
+            assert params_equal(models[i], oracle[0]), i
+            assert stats[i] == oracle[1], i
+
+    def test_teacher_targets_match_serial_oracle_at_benchmark_widths(self):
+        # at 32 -> 16 -> 10 a matmul row's bits depend on the row count, so a
+        # teacher forward over the whole block would change some clients'
+        # targets; one forward per client gives each the serial bits
+        cfg = ExperimentConfig(local_epochs=1, batch_size=64, kd_weight=0.7, temperature=3.0)
+        x, y, rows, parts, batch_fn = self.clients(cfg, widths=(32, 10))
+        model = make_random_model(150, [32, 16, 10], 1)
+        teacher = make_random_model(250, [32, 16, 10], 1)
+        clients = [trainer.Client(r, batch_fn(i)) for i, r in enumerate(rows)]
+        models, stats = trainer.local_update(model, teacher, x, y, clients, cfg)
+        for i, (xi, yi) in enumerate(parts):
+            oracle = per_batch_oracle(model, teacher, xi, yi, batch_fn(i), cfg)
             assert params_equal(models[i], oracle[0]), i
             assert stats[i] == oracle[1], i
 
@@ -595,6 +622,50 @@ class TestLockstep:
         # as in the serial loop, the first client trains to the end first
         assert calls == [0, 1]
 
+
+    def test_teacher_forward_error_of_a_later_client_waits_for_the_others(self):
+        # KD on: client 2's teacher forward meets an inf row at setup, so it
+        # never steps; client 1 trains to its end, and client 0, which
+        # overflows only in epoch 2, is the client raised
+        cfg = ExperimentConfig(local_epochs=3, batch_size=64, kd_weight=0.5)
+        sizes = (40, 30, 20)
+        x, y, rows, _, batch_fn = self.clients(cfg, sizes)
+        # as in the test above: the zero teacher keeps the huge row finite
+        x[rows[0][3]] = [0.0, np.finfo(np.float64).max, 0.0, 0.0]
+        x[rows[2][5]] = np.inf
+        fns = [lambda epoch: [np.arange(7, 40)] if epoch < 2 else [np.arange(40)]]
+        fns += [batch_fn(1), batch_fn(2)]
+        model = make_random_model(156, [4, 6, 3], 1)
+        teacher = nn.ModelParams([(np.zeros((4, 6)), np.zeros(6)), (np.zeros((6, 3)), np.zeros(3))], 1)
+        parts = [(x[r], y[r]) for r in rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self.first_serial_error(model, teacher, parts, fns, cfg, [None] * 3)[0] == 0
+            with pytest.raises(ArithmeticError):
+                per_batch_oracle(model, teacher, *parts[2], fns[2], cfg)
+        calls = {i: [] for i in range(3)}
+
+        def logged(i):
+            return lambda epoch: calls[i].append(epoch) or fns[i](epoch)
+
+        clients = [trainer.Client(r, logged(i)) for i, r in enumerate(rows)]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(trainer.ClientError) as info:
+            trainer.local_update(model, teacher, x, y, clients, cfg)
+        assert info.value.index == 0
+        assert str(info.value) == "forward pass produced non-finite values"
+        assert calls == {0: [0, 1, 2], 1: [0, 1, 2], 2: []}
+
+    def test_a_client_without_rows_fails_its_target_check(self):
+        cfg = ExperimentConfig(local_epochs=2, batch_size=64)
+        x, y, rows, _, batch_fn = self.clients(cfg, (30, 0))
+        calls = []
+        fn = batch_fn(0)
+        clients = [
+            trainer.Client(rows[0], lambda epoch: calls.append(epoch) or fn(epoch)),
+            trainer.Client(rows[1], batch_fn(1)),
+        ]
+        with pytest.raises(ShapeError, match="empty batch"):
+            trainer.local_update(make_random_model(159, [4, 6, 3], 1), None, x, y, clients, cfg)
+        assert calls == [0, 1]
 
 class TestEvaluate:
     def test_constant_logits_tiebreak_class_zero(self):
