@@ -583,17 +583,6 @@ class TestCli:
              "n_clients = 5000 exceeds the 4000 training rows"),
             (["sweep", "--axis", "N", "--values", "20,5000", "--out-dir", "{tmp}"],
              "n_clients = 5000"),
-            # sizes whose arrays would not fit one array's budget, before any data
-            (["run", "--rounds", "1", "--seeds", "0", "--n-clients", "4",
-              "--samples-per-class", "1000000000000", "--out-dir", "{tmp}/big"],
-             "n_classes × samples_per_class rows"),
-            (["run", "--rounds", "1", "--seeds", "0", "--n-clients", "4",
-              "--samples-per-class", "99999999999999999999999", "--out-dir", "{tmp}/big"],
-             "samples_per_class"),
-            (["run", "--n-clients", "4000", "--feature-dim", "5000", "--out-dir", "{tmp}/big"],
-             "n_clients × the parameters"),
-            (["run", "--gen-epochs", "1000000", "--gen-batches", "1000000",
-              "--out-dir", "{tmp}/big"], "gen_epochs × gen_batches"),
             # an output path that cannot be written, before any run
             (["run", "--checkpoint-interval", "1", "--seeds", "0,1", "--out-dir", "{tmp}/ck"],
              "--out-dir {tmp}/ck/checkpoints-seed1: not a directory"),
@@ -613,6 +602,17 @@ class TestCli:
             (["run", "--rounds", "3", "--n-clients", "4", "--samples-per-class", "20",
               "--seeds", "0", "--checkpoint-interval", "1", "--out-dir", "{tmp}/ck2"],
              "--out-dir {tmp}/ck2/checkpoints-seed0: student-0001.ckpt is a directory"),
+            # sizes whose arrays would not fit one array's budget, before any data
+            (["run", "--rounds", "1", "--seeds", "0", "--n-clients", "4",
+              "--samples-per-class", "1000000000000", "--out-dir", "{tmp}/big"],
+             "n_classes × samples_per_class rows"),
+            (["run", "--rounds", "1", "--seeds", "0", "--n-clients", "4",
+              "--samples-per-class", "99999999999999999999999", "--out-dir", "{tmp}/big"],
+             "samples_per_class"),
+            (["run", "--n-clients", "4000", "--feature-dim", "5000", "--out-dir", "{tmp}/big"],
+             "n_clients × the parameters"),
+            (["run", "--gen-epochs", "1000000", "--gen-batches", "1000000",
+              "--out-dir", "{tmp}/big"], "gen_epochs × gen_batches"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, argv, named):
